@@ -394,16 +394,35 @@ def scenario_descriptions() -> str:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One verification check: ``value`` against ``threshold``.
+
+    ``larger_is_better`` is the comparison direction: the check passes
+    when ``value >= threshold`` if set, else when ``value <= threshold``.
+    """
+
     name: str
     value: float
     threshold: float
     passed: bool
     detail: str = ""
+    larger_is_better: bool = False
+
+    @property
+    def relation(self) -> str:
+        return ">=" if self.larger_is_better else "<="
+
+    @property
+    def margin(self) -> float:
+        """Distance to the threshold on the passing side (negative: failed)."""
+        d = self.value - self.threshold
+        return d if self.larger_is_better else -d
 
 
 def _check(name, value, threshold, larger_is_better=False, detail="") -> CheckResult:
     ok = value >= threshold if larger_is_better else value <= threshold
-    return CheckResult(name, float(value), float(threshold), bool(ok), detail)
+    return CheckResult(
+        name, float(value), float(threshold), bool(ok), detail, larger_is_better
+    )
 
 
 def _equivalence_check(cfg: ScenarioConfig, name: str) -> CheckResult:
@@ -616,8 +635,10 @@ def _print_report(checks: list[CheckResult]) -> bool:
     ok = True
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
-        rel = ">=" if c.name.startswith("washout[MI, sigma=0.1") else "<="
-        line = f"{status}  {c.name}: {c.value:.3e} (threshold {rel} {c.threshold:g})"
+        line = (
+            f"{status}  {c.name}: {c.value:.3e} "
+            f"(threshold {c.relation} {c.threshold:g}, margin {c.margin:+.3e})"
+        )
         if c.detail:
             line += f"  [{c.detail}]"
         print(line)

@@ -182,7 +182,9 @@ def _guard_propagation(e: Propagate, g: TransverseGrid) -> None:
     The guard bounds the mean change of the quadratic phase per wavevector
     sample across the band: ``k_max**2 * |z_p| / (k_z * n) < pi`` with
     ``k_max = pi/dx``.  At fixed sample spacing the bound improves with n
-    (a wider window), so the error names the minimum point count.
+    (a wider window); at fixed extent it gets worse (finer sampling raises
+    ``k_max``).  The error therefore names the minimum ``grid.n`` together
+    with the ``grid.extent`` that keeps the spacing.
     """
     zp = abs(e.phase_distance())
     if zp == 0.0:
@@ -194,8 +196,11 @@ def _guard_propagation(e: Propagate, g: TransverseGrid) -> None:
         required = 1 << max(3, int(np.ceil(np.log2(n_min))))
         raise SamplingGuardError(
             f"propagation over z={e.z:g} is undersampled on n={g.n} "
-            f"(mean quadratic-phase step {q:.3g} rad >= pi); at this "
-            f"sample spacing at least n={required} points are needed",
+            f"(mean quadratic-phase step {q:.3g} rad >= pi); set grid.n >= "
+            f"{required} and scale grid.extent with it to keep "
+            f"grid.extent / grid.n = {g.dx:g} (e.g. grid.n = {required}, "
+            f"grid.extent = {required * g.dx:g}); raising grid.n at fixed "
+            f"grid.extent makes this worse",
             required_n=required,
         )
 
@@ -207,10 +212,6 @@ class _Op:
         raise NotImplementedError
 
     def backward(self, v: np.ndarray, g: TransverseGrid, axis: int = -1):
-        raise NotImplementedError
-
-    def backward_adjoint(self, v: np.ndarray, g: TransverseGrid, axis: int = -1):
-        """Operator adjoint of :meth:`backward` (used by the oracle)."""
         raise NotImplementedError
 
 
@@ -249,8 +250,6 @@ class _SpectralPhaseOp(_Op):
         ph = self._phase(g, -1.0, v.ndim, axis)
         return _idft_values(ph * _dft_values(v, axis), axis)
 
-    backward_adjoint = forward
-
 
 class _LensOp(_Op):
     """Standalone Fourier lens: unitary k-content -> position transform."""
@@ -260,8 +259,6 @@ class _LensOp(_Op):
 
     def backward(self, v, g, axis=-1):
         return np.fft.fftshift(_dft_values(v, axis), axes=axis)
-
-    backward_adjoint = forward
 
 
 class _QuadraticPhaseOp(_Op):
@@ -279,8 +276,6 @@ class _QuadraticPhaseOp(_Op):
     def backward(self, v, g, axis=-1):
         return np.conj(self._chirp(g, v.ndim, axis)) * v
 
-    backward_adjoint = forward
-
 
 class _MaskOp(_Op):
     """Transfer function; backward is deliberately not conjugated."""
@@ -297,9 +292,6 @@ class _MaskOp(_Op):
         return self._t(g, v.ndim, axis) * v
 
     backward = forward
-
-    def backward_adjoint(self, v, g, axis=-1):
-        return np.conj(self._t(g, v.ndim, axis)) * v
 
 
 def compile_chain(elements) -> list[_Op]:

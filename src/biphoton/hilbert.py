@@ -133,7 +133,6 @@ class UnitaryEvolution:
     """Unitary evolution between preparation and measurement times."""
 
     matrix: np.ndarray
-    elapsed: float = 0.0
 
     def __post_init__(self):
         u = _as_matrix(self.matrix)

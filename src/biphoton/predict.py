@@ -19,7 +19,7 @@ from .elements import DetectorProfile, Mask, compile_chain, materialize_detector
 from .errors import DarkConditionalError, GridError
 from .grid import Field, TransverseGrid, _readonly
 from .retrodict import DARK_WEIGHT, ConditionalDistribution, ImagingSetup
-from .source import BiphotonField
+from .source import BiphotonField, DeltaCorrelatedSource
 
 __all__ = [
     "JointDistribution",
@@ -51,12 +51,15 @@ class JointDistribution:
         object.__setattr__(self, "density", _readonly(d))
 
 
-def evolve_joint(B: BiphotonField, arm1, arm2) -> BiphotonField:
+def evolve_joint(
+    B: BiphotonField | DeltaCorrelatedSource, arm1, arm2
+) -> BiphotonField:
     """Evolve the pair amplitude forward through both arms.
 
     ``arm1`` and ``arm2`` are element sequences in physical order; arm-1
     elements act along the first index, arm-2 elements along the second.
-    The two arms commute.
+    The two arms commute.  This is the one place that needs the source as
+    a dense ``n x n`` matrix.
     """
     v = B.values
     g = B.grid

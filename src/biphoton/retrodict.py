@@ -16,7 +16,7 @@ import numpy as np
 from .elements import DetectorProfile, compile_chain, materialize_detector
 from .errors import DarkConditionalError, EdgeLeakageError, GridError, SweepError
 from .grid import Field, TransverseGrid, _readonly, edge_energy_fraction
-from .source import BiphotonField, condition
+from .source import BiphotonField, DeltaCorrelatedSource, condition
 
 __all__ = [
     "ImagingSetup",
@@ -43,7 +43,7 @@ class ImagingSetup:
     grid: TransverseGrid
     arm1: tuple
     arm2: tuple
-    source: BiphotonField
+    source: BiphotonField | DeltaCorrelatedSource
     detector1: DetectorProfile
 
     def __post_init__(self):

@@ -203,6 +203,19 @@ class TestMainExitCodes:
         )
         assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
 
+    def test_sampling_guard_is_exit_1_and_names_config_keys(self, tmp_path, capsys):
+        # f = 10 on the default 512-point, extent-16 grid undersamples the
+        # focal propagation; the fix keeps grid.extent / grid.n fixed
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("f = 10\n")
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "grid.n >= 1024" in err
+        assert "grid.extent = 32" in err and "grid.extent / grid.n = 0.03125" in err
+        follow = tmp_path / "d.cfg"
+        follow.write_text("f = 10\ngrid.n = 1024\ngrid.extent = 32\n")
+        assert main(["run", "--config", str(follow), "--out", str(tmp_path)]) == 0
+
     def test_scenarios_listing(self, capsys):
         assert main(["scenarios"]) == 0
         out = capsys.readouterr().out
@@ -234,3 +247,19 @@ class TestVerify:
         assert main(["verify", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_report_prints_stored_direction_and_margin(self, capsys):
+        from biphoton.cli import _check, _print_report
+
+        checks = [
+            _check("floor", 0.8, 0.5, larger_is_better=True),
+            _check("ceiling", 0.02, 0.01),
+        ]
+        assert [c.passed for c in checks] == [True, False]
+        assert [c.relation for c in checks] == [">=", "<="]
+        assert checks[0].margin == pytest.approx(0.3)
+        assert checks[1].margin == pytest.approx(-0.01)
+        assert _print_report(checks) is False
+        first, second = capsys.readouterr().out.splitlines()
+        assert first.startswith("PASS  floor") and ">= 0.5, margin +3.000e-01" in first
+        assert second.startswith("FAIL  ceiling") and "<= 0.01, margin -1.000e-02" in second

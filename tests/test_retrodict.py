@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biphoton import (
+    BiphotonField,
     DarkConditionalError,
     DetectorProfile,
     EdgeLeakageError,
@@ -13,6 +14,8 @@ from biphoton import (
     Mask,
     Propagate,
     SweepError,
+    conditional_from_joint,
+    joint_for_setup,
     make_biphoton_delta_correlated,
     make_grid,
     run_retrodictive,
@@ -151,3 +154,40 @@ class TestSweep:
         assert len(err.value.failures) == 2
         assert err.value.failures[0][0] == 0.0
         assert isinstance(err.value.failures[1][1], DarkConditionalError)
+
+
+class TestNonDiagonalSource:
+    """Retro against the oracle when the source is a dense matrix, so the
+    general (vector-matrix) conditioning path is covered end to end."""
+
+    @staticmethod
+    def low_rank_setup(grid, x1):
+        x = grid.x
+
+        def bump(c, w, tilt):
+            return np.exp(-((x - c) ** 2) / (2 * w**2) + 1j * tilt * x)
+
+        # two product terms with distinct centres, widths and phase tilts
+        B = np.outer(bump(-0.5, 1.5, 0.7), bump(1.0, 0.8, -1.1)) + (
+            0.6 - 0.3j
+        ) * np.outer(bump(0.8, 1.2, -0.4), bump(-1.2, 0.6, 2.0))
+        t = double_slit(grid) * np.exp(1j * 0.5 * grid.x)
+        return ImagingSetup(
+            grid=grid,
+            arm1=(Propagate(F, KZ), FourierLens(), Mask(Field(grid, t))),
+            arm2=(Propagate(0.5, KZ),),
+            source=BiphotonField(grid, B),
+            detector1=DetectorProfile("gaussian", center=x1, sigma=0.2),
+        )
+
+    def test_source_is_not_diagonal(self, grid16):
+        v = self.low_rank_setup(grid16, 0.0).source.values
+        assert np.linalg.matrix_rank(v) == 2
+        assert np.max(np.abs(v - np.diag(np.diagonal(v)))) > 0.1 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("x1", [0.0, 0.5, -1.0])
+    def test_retrodictive_matches_oracle(self, grid16, x1):
+        setup = self.low_rank_setup(grid16, x1)
+        retro = run_retrodictive(setup).distribution.density
+        oracle = conditional_from_joint(joint_for_setup(setup), x1).density
+        assert np.max(np.abs(retro - oracle)) <= 1e-8

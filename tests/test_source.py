@@ -1,16 +1,21 @@
 """Pair-source construction and conditioning against brute-force sums."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from biphoton import (
     BiphotonField,
+    DeltaCorrelatedSource,
     Field,
     GridError,
     condition,
     make_biphoton_delta_correlated,
     make_grid,
+    run_retrodictive,
 )
+from biphoton.cli import build_setup, parse_config
 from conftest import random_field
 
 
@@ -136,3 +141,99 @@ class TestCondition:
         a = Field(grid16, np.full(grid16.n, 0.01))
         out = condition(B, a)
         assert abs(out.norm_sq - 1.0) > 0.1
+
+
+def dense_condition(B, a):
+    """The dense vector-matrix product every source must reproduce."""
+    return B.grid.dx * (np.conj(a.values) @ B.values)
+
+
+class TestDeltaCorrelatedStorage:
+    @pytest.mark.parametrize("n", [64, 512, 2048])
+    def test_condition_byte_equal_to_dense_product(self, n):
+        rng = np.random.default_rng(n)
+        g = make_grid(n, n / 32)
+        sources = [
+            make_biphoton_delta_correlated(g, kappa=1.0),
+            DeltaCorrelatedSource(g, rng.standard_normal(n)),  # real, mixed sign
+        ]
+        for B in sources:
+            for _ in range(3):
+                a = random_field(g, rng)
+                got = condition(B, a).values
+                assert got.tobytes() == dense_condition(B, a).tobytes()
+
+    def test_complex_pump_matches_dense_product_to_rounding(self, grid16, rng):
+        # a complex pump changes the order of the rounding steps (the BLAS
+        # product may fuse them), so agreement is to rounding, not bitwise
+        n = grid16.n
+        B = DeltaCorrelatedSource(
+            grid16, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        )
+        a = random_field(grid16, rng)
+        ref = dense_condition(B, a)
+        got = condition(B, a).values
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_values_read_only_diagonal_of_pump(self, grid16, rng):
+        n = grid16.n
+        pump = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        B = DeltaCorrelatedSource(grid16, pump)
+        v = B.values
+        assert v.dtype == np.complex128 and v.shape == (n, n)
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 1.0
+        assert v.tobytes() == np.diag(pump.astype(np.complex128)).tobytes()
+        assert np.count_nonzero(v) == np.count_nonzero(pump)
+        assert B.values is v  # built once, then cached
+
+    def test_made_source_values_match_dense_construction(self, grid16):
+        kappa = 1.0
+        B = make_biphoton_delta_correlated(grid16, kappa=kappa)
+        diag = np.sqrt(np.pi) / grid16.dx * np.exp(-(grid16.x**2) * kappa**2 / 2.0)
+        ref = BiphotonField(grid16, np.diag(diag.astype(np.complex128))).values
+        assert B.values.tobytes() == ref.tobytes()
+
+    def test_norm_sq_matches_dense_formula(self, grid16, rng):
+        n = grid16.n
+        B = DeltaCorrelatedSource(
+            grid16, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        )
+        dense = float(np.sum(np.abs(B.values) ** 2) * grid16.dx**2)
+        assert B.norm_sq == pytest.approx(dense, rel=1e-12)
+        assert BiphotonField(grid16, B.values).norm_sq == pytest.approx(dense, rel=1e-12)
+
+    def test_pump_validated_and_copied(self, grid16):
+        n = grid16.n
+        with pytest.raises(GridError):
+            DeltaCorrelatedSource(grid16, np.ones(n + 1))
+        bad = np.ones(n, dtype=complex)
+        bad[3] = np.nan
+        with pytest.raises(GridError):
+            DeltaCorrelatedSource(grid16, bad)
+        raw = np.ones(n)
+        B = DeltaCorrelatedSource(grid16, raw)
+        raw[0] = 5.0
+        assert B.pump[0] == 1.0 and not B.pump.flags.writeable
+
+    def test_retrodictive_run_stays_linear_in_memory(self):
+        # n = 8192: a dense source alone would be 1 GiB of complex128
+        text = (
+            "scenario = fig3-direct\n"
+            "grid.n = 8192\n"
+            "grid.extent = 256.0\n"
+            "kappa = 8\n"
+            "detector.sigma = 0.1\n"
+            "mask.kind = double-slit\n"
+        )
+        cfg = parse_config(text)
+        tracemalloc.start()
+        try:
+            setup = build_setup(cfg)
+            res = run_retrodictive(setup)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert abs(res.distribution.density.sum() * setup.grid.dx - 1.0) <= 1e-12
