@@ -1,42 +1,19 @@
 """Scenario configuration, execution, and verification command line.
 
-Config files are flat ``key = value`` text, one setting per line, ``#``
-comments allowed.  Keys and defaults::
-
-    scenario            = fig3-direct      # fig3-direct | fourier-2f | custom
-    grid.n              = 512              # power of two >= 8
-    grid.extent         = 16.0             # fourier-2f defaults to sqrt(2*pi*n)
-    k_z                 = 50.0
-    f                   = 2.0
-    kappa               = 4.0              # pump spot width at the crystal
-    detector.shape      = gaussian         # gaussian | tophat | point
-    detector.sigma      = 0.1
-    detector.width      = 1.0
-    detector.x1         = 0.0              # comma list sweeps positions
-    mask.kind           = none             # none | slit | double-slit |
-                                           # gaussian-aperture | table
-    mask.width          = 0.4
-    mask.separation     = 2.0
-    mask.sigma          = 1.0
-    mask.file           =                  # table kind: n rows "re[,im]"
-    fresnel_half_factor = false
-    output.path         = .
-    output.format       = csv
-    output.stages       = false
-
 Commands: ``run --config FILE [--out DIR]``, ``verify [--fast]``,
-``scenarios``.  Exit codes: 0 success, 1 validation error, 2 dark
+``scenarios``.  Config files are flat ``key = value`` text, one setting
+per line, ``#`` comments allowed; ``biphoton run --help`` lists every key
+with its default.  Exit codes: 0 success, 1 validation error, 2 dark
 conditional, 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,9 +43,11 @@ DETECTOR_SHAPES = ("gaussian", "tophat", "point")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario.  ``extent = None`` resolves to the scenario's window."""
+
     scenario: str = "fig3-direct"
     n: int = 512
-    extent: float = 16.0
+    extent: float | None = None
     k_z: float = 50.0
     f: float = 2.0
     kappa: float = 4.0
@@ -85,44 +64,104 @@ class ScenarioConfig:
     output_path: str = "."
     output_format: str = "csv"
     output_stages: bool = False
-    # keys given explicitly in the parsed text (affects scenario defaults)
-    explicit: frozenset = field(default_factory=frozenset, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.extent is None:
+            # The Fourier-imaging geometry wants a self-conjugate window
+            # (dk == dx) so the lens maps wavevector content to position at
+            # unit scale.
+            fourier = self.scenario == "fourier-2f"
+            extent = float(np.sqrt(2 * np.pi * self.n)) if fourier else 16.0
+            object.__setattr__(self, "extent", extent)
+        if self.mask_kind == "table" and not self.mask_file:
+            raise ConfigError("mask.kind = table requires mask.file")
 
 
-def _parse_bool(raw: str, line: int) -> bool:
+# Value parsers: raw text -> value, or ValueError naming what was expected
+# (parse_config prefixes the key and line).
+
+
+def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "yes", "on", "1"):
         return True
     if low in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}", line)
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_float(raw: str, line: int, key: str, positive: bool = False) -> float:
+def _parse_float(raw: str) -> float:
     try:
         v = float(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}", line) from None
+        raise ValueError(f"expected a number, got {raw!r}") from None
     if not np.isfinite(v):
-        raise ConfigError(f"{key}: value must be finite", line)
-    if positive and v <= 0:
-        raise ConfigError(f"{key}: value must be positive, got {v:g}", line)
+        raise ValueError("value must be finite")
     return v
 
 
-def _parse_choice(raw: str, line: int, key: str, choices) -> str:
-    if raw not in choices:
-        raise ConfigError(
-            f"{key}: expected one of {', '.join(choices)}; got {raw!r}", line
-        )
-    return raw
+def _parse_positive(raw: str) -> float:
+    v = _parse_float(raw)
+    if v <= 0:
+        raise ValueError(f"value must be positive, got {v:g}")
+    return v
+
+
+def _parse_n(raw: str) -> int:
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {raw!r}") from None
+    if n < 8 or (n & (n - 1)) != 0:
+        raise ValueError(f"must be a power of two >= 8, got {n}")
+    return n
+
+
+def _parse_positions(raw: str) -> tuple:
+    parts = [p.strip() for p in raw.split(",") if p.strip()]
+    if not parts:
+        raise ValueError("expected at least one position")
+    return tuple(_parse_float(p) for p in parts)
+
+
+def _choice(*options: str):
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected one of {', '.join(options)}; got {raw!r}")
+        return raw
+
+    parse.choices = options
+    return parse
+
+
+# config key -> (ScenarioConfig attribute, parser), in serialization order.
+# Defaults live on the ScenarioConfig fields.
+_SCHEMA = {
+    "scenario": ("scenario", _choice(*SCENARIOS)),
+    "grid.n": ("n", _parse_n),
+    "grid.extent": ("extent", _parse_positive),
+    "k_z": ("k_z", _parse_positive),
+    "f": ("f", _parse_positive),
+    "kappa": ("kappa", _parse_positive),
+    "detector.shape": ("detector_shape", _choice(*DETECTOR_SHAPES)),
+    "detector.sigma": ("detector_sigma", _parse_positive),
+    "detector.width": ("detector_width", _parse_positive),
+    "detector.x1": ("detector_x1", _parse_positions),
+    "mask.kind": ("mask_kind", _choice(*MASK_KINDS)),
+    "mask.width": ("mask_width", _parse_positive),
+    "mask.separation": ("mask_separation", _parse_positive),
+    "mask.sigma": ("mask_sigma", _parse_positive),
+    "mask.file": ("mask_file", str),
+    "fresnel_half_factor": ("fresnel_half_factor", _parse_bool),
+    "output.path": ("output_path", str),
+    "output.format": ("output_format", _choice("csv")),
+    "output.stages": ("output_stages", _parse_bool),
+}
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse flat key = value text into a validated configuration."""
     values: dict = {}
-    explicit: set = set()
-
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.split("#", 1)[0].strip()
         if not stripped:
@@ -131,106 +170,45 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"expected 'key = value', got {stripped!r}", lineno)
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-
-        if key == "scenario":
-            values["scenario"] = _parse_choice(raw, lineno, key, SCENARIOS)
-        elif key == "grid.n":
-            try:
-                n = int(raw)
-            except ValueError:
-                raise ConfigError(f"grid.n: expected an integer, got {raw!r}", lineno) from None
-            if n < 8 or (n & (n - 1)) != 0:
-                raise ConfigError(f"grid.n: must be a power of two >= 8, got {n}", lineno)
-            values["n"] = n
-        elif key == "grid.extent":
-            values["extent"] = _parse_float(raw, lineno, key, positive=True)
-        elif key == "k_z":
-            values["k_z"] = _parse_float(raw, lineno, key, positive=True)
-        elif key == "f":
-            values["f"] = _parse_float(raw, lineno, key, positive=True)
-        elif key == "kappa":
-            values["kappa"] = _parse_float(raw, lineno, key, positive=True)
-        elif key == "detector.shape":
-            values["detector_shape"] = _parse_choice(raw, lineno, key, DETECTOR_SHAPES)
-        elif key == "detector.sigma":
-            values["detector_sigma"] = _parse_float(raw, lineno, key, positive=True)
-        elif key == "detector.width":
-            values["detector_width"] = _parse_float(raw, lineno, key, positive=True)
-        elif key == "detector.x1":
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            if not parts:
-                raise ConfigError("detector.x1: expected at least one position", lineno)
-            values["detector_x1"] = tuple(
-                _parse_float(p, lineno, key) for p in parts
-            )
-        elif key == "mask.kind":
-            values["mask_kind"] = _parse_choice(raw, lineno, key, MASK_KINDS)
-        elif key == "mask.width":
-            values["mask_width"] = _parse_float(raw, lineno, key, positive=True)
-        elif key == "mask.separation":
-            values["mask_separation"] = _parse_float(raw, lineno, key, positive=True)
-        elif key == "mask.sigma":
-            values["mask_sigma"] = _parse_float(raw, lineno, key, positive=True)
-        elif key == "mask.file":
-            values["mask_file"] = raw
-        elif key == "fresnel_half_factor":
-            values["fresnel_half_factor"] = _parse_bool(raw, lineno)
-        elif key == "output.path":
-            values["output_path"] = raw
-        elif key == "output.format":
-            values["output_format"] = _parse_choice(raw, lineno, key, ("csv",))
-        elif key == "output.stages":
-            values["output_stages"] = _parse_bool(raw, lineno)
-        else:
+        if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}", lineno)
-        explicit.add(key)
+        attr, parse = _SCHEMA[key]
+        try:
+            values[attr] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}", lineno) from None
+    return ScenarioConfig(**values)
 
-    cfg = ScenarioConfig(**values, explicit=frozenset(explicit))
-    if cfg.mask_kind == "table" and not cfg.mask_file:
-        raise ConfigError("mask.kind = table requires mask.file")
-    return cfg
 
-
-_SERIAL_ORDER = (
-    ("scenario", "scenario"),
-    ("grid.n", "n"),
-    ("grid.extent", "extent"),
-    ("k_z", "k_z"),
-    ("f", "f"),
-    ("kappa", "kappa"),
-    ("detector.shape", "detector_shape"),
-    ("detector.sigma", "detector_sigma"),
-    ("detector.width", "detector_width"),
-    ("detector.x1", "detector_x1"),
-    ("mask.kind", "mask_kind"),
-    ("mask.width", "mask_width"),
-    ("mask.separation", "mask_separation"),
-    ("mask.sigma", "mask_sigma"),
-    ("mask.file", "mask_file"),
-    ("fresnel_half_factor", "fresnel_half_factor"),
-    ("output.path", "output_path"),
-    ("output.format", "output_format"),
-    ("output.stages", "output_stages"),
-)
+def _format_value(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, tuple):
+        return ", ".join(repr(float(p)) for p in v)
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Emit a config as text that parses back to an equal configuration."""
-    lines = []
-    for key, attr in _SERIAL_ORDER:
-        v = getattr(cfg, attr)
-        if isinstance(v, bool):
-            out = "true" if v else "false"
-        elif isinstance(v, tuple):
-            out = ", ".join(repr(float(p)) for p in v)
-        elif isinstance(v, float):
-            out = repr(v)
-        else:
-            out = str(v)
-        if key == "mask.file" and not v:
-            continue
-        lines.append(f"{key} = {out}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key} = {_format_value(getattr(cfg, attr))}".rstrip() + "\n"
+        for key, (attr, _) in _SCHEMA.items()
+    )
+
+
+def _config_help() -> str:
+    """Every config key with its default (and choices), for ``run --help``."""
+    defaults = ScenarioConfig()
+    lines = ["config keys (key = default):"]
+    for key, (attr, parse) in _SCHEMA.items():
+        line = f"  {key} = {_format_value(getattr(defaults, attr))}"
+        if hasattr(parse, "choices"):
+            line = f"{line:<34}# {' | '.join(parse.choices)}"
+        lines.append(line.rstrip())
+    lines.append("grid.extent defaults to sqrt(2*pi*grid.n) for scenario = fourier-2f.")
+    return "\n".join(lines)
 
 
 def _mask_values(cfg: ScenarioConfig, g) -> np.ndarray | None:
@@ -263,30 +241,22 @@ def _mask_values(cfg: ScenarioConfig, g) -> np.ndarray | None:
             im_part = float(parts[1]) if len(parts) > 1 else 0.0
         except (ValueError, IndexError):
             raise ConfigError(
-                f"mask table: bad row {line!r}", lineno
+                f"mask.file: bad row {line!r} at line {lineno} of {cfg.mask_file!r}"
             ) from None
         rows.append(complex(re_part, im_part))
     if len(rows) != g.n:
         raise ConfigError(
-            f"mask table has {len(rows)} rows; grid needs {g.n}"
+            f"mask.file: table has {len(rows)} rows; grid.n needs {g.n}"
         )
     t = np.asarray(rows, dtype=np.complex128)
     if np.max(np.abs(t)) > 1 + 1e-12:
-        raise ConfigError("mask table values must satisfy |t| <= 1")
+        raise ConfigError("mask.file: table values must satisfy |t| <= 1")
     return t
-
-
-def _default_extent(cfg: ScenarioConfig) -> float:
-    # The Fourier-imaging geometry wants a self-conjugate window (dk == dx)
-    # so the lens maps wavevector content to position at unit scale.
-    if cfg.scenario == "fourier-2f" and "grid.extent" not in cfg.explicit:
-        return float(np.sqrt(2 * np.pi * cfg.n))
-    return cfg.extent
 
 
 def build_setup(cfg: ScenarioConfig, x1: float | None = None) -> ImagingSetup:
     """Materialize a configuration into a runnable imaging setup."""
-    g = make_grid(cfg.n, _default_extent(cfg))
+    g = make_grid(cfg.n, cfg.extent)
     tvals = _mask_values(cfg, g)
     mask = (Mask(Field(g, tvals)),) if tvals is not None else ()
 
@@ -346,32 +316,47 @@ def _write_stages(path: Path, result) -> None:
     path.write_text(json.dumps(payload))
 
 
+def _file_tags(positions) -> list[str]:
+    """File-name suffix per detector.x1 position; rejects colliding names."""
+    if len(positions) == 1:
+        return [""]
+    tags: dict = {}
+    for pos in positions:
+        tag = f"_x1_{pos:+.4f}"
+        if tag in tags:
+            raise ConfigError(
+                f"detector.x1: positions {tags[tag]!r} and {pos!r} both write "
+                f"conditional{tag}.csv; make them differ in the first 4 decimals"
+            )
+        tags[tag] = pos
+    return list(tags)
+
+
 def run(cfg: ScenarioConfig, out_dir: str | None = None) -> list[Path]:
-    """Execute a configuration and emit CSV (and optional stage) files."""
+    """Execute a configuration and emit CSV (and optional stage) files.
+
+    One position writes ``conditional.csv``; a sweep writes one
+    position-suffixed file per position.
+    """
+    tags = _file_tags(cfg.detector_x1)
     out = Path(out_dir if out_dir is not None else cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
     setup = build_setup(cfg)
+    if len(tags) == 1:
+        # not sweep_conditioning, whose SweepError would turn a dark
+        # conditional (exit 2) into a validation error (exit 1)
+        results = [run_retrodictive(setup)]
+    else:
+        results = sweep_conditioning(setup, cfg.detector_x1)
     written: list[Path] = []
-
-    if len(cfg.detector_x1) == 1:
-        result = run_retrodictive(setup)
-        path = out / "conditional.csv"
+    for tag, result in zip(tags, results):
+        path = out / f"conditional{tag}.csv"
         _write_csv(path, setup.grid.x, result.distribution.density)
         written.append(path)
         if cfg.output_stages:
-            spath = out / "stages.json"
+            spath = out / f"stages{tag}.json"
             _write_stages(spath, result)
             written.append(spath)
-    else:
-        results = sweep_conditioning(setup, cfg.detector_x1)
-        for pos, result in zip(cfg.detector_x1, results):
-            path = out / f"conditional_x1_{pos:+.4f}.csv"
-            _write_csv(path, setup.grid.x, result.distribution.density)
-            written.append(path)
-            if cfg.output_stages:
-                spath = out / f"stages_x1_{pos:+.4f}.json"
-                _write_stages(spath, result)
-                written.append(spath)
     return written
 
 
@@ -434,13 +419,6 @@ def _equivalence_check(cfg: ScenarioConfig, name: str) -> CheckResult:
     return _check(f"equivalence[{name}]", diff, 1e-8)
 
 
-def _cfg(**kw) -> ScenarioConfig:
-    explicit = frozenset(
-        key for key, attr in _SERIAL_ORDER if attr in kw
-    )
-    return ScenarioConfig(**kw, explicit=explicit)
-
-
 def _restricted_l1(grid, density, reference, halfwidth=3.0) -> float:
     m = np.abs(grid.x) <= halfwidth
     p = density[m] / (density[m].sum() * grid.dx)
@@ -458,7 +436,7 @@ def _ghost_image_checks() -> list[CheckResult]:
         n=512,
         extent=16.0,
     )
-    cfg = _cfg(detector_shape="point", **base)
+    cfg = ScenarioConfig(detector_shape="point", **base)
     setup = build_setup(cfg)
     res = run_retrodictive(setup)
     tsq = np.abs(_mask_values(cfg, setup.grid)) ** 2
@@ -470,7 +448,9 @@ def _ghost_image_checks() -> list[CheckResult]:
     feature = 0.4
     l1s = []
     for s in (0.4 * feature, 0.2 * feature, 0.1 * feature):
-        cfg_s = _cfg(detector_shape="gaussian", detector_sigma=s, **{**base, "n": 1024})
+        cfg_s = ScenarioConfig(
+            detector_shape="gaussian", detector_sigma=s, **{**base, "n": 1024}
+        )
         setup_s = build_setup(cfg_s)
         res_s = run_retrodictive(setup_s)
         tsq_s = np.abs(_mask_values(cfg_s, setup_s.grid)) ** 2
@@ -488,7 +468,7 @@ def _ghost_image_checks() -> list[CheckResult]:
 
 
 def _fourier_image_check() -> CheckResult:
-    cfg = _cfg(
+    cfg = ScenarioConfig(
         scenario="fourier-2f",
         detector_shape="point",
         mask_kind="slit",
@@ -534,7 +514,7 @@ def _focal_closed_form_check() -> CheckResult:
 
 def _washout_checks() -> list[CheckResult]:
     # Narrow detector on the scenario's own grid.
-    cfg_n = _cfg(
+    cfg_n = ScenarioConfig(
         scenario="fig3-direct",
         mask_kind="double-slit",
         detector_shape="gaussian",
@@ -548,7 +528,7 @@ def _washout_checks() -> list[CheckResult]:
     # Broad detector, sigma = L/4.  The broad-detector regime needs
     # window >> detector >> mask, so it runs on an enlarged window.
     L = 64.0
-    cfg_b = _cfg(
+    cfg_b = ScenarioConfig(
         scenario="fig3-direct",
         mask_kind="double-slit",
         detector_shape="gaussian",
@@ -594,13 +574,15 @@ def verify_report(fast: bool = False) -> list[CheckResult]:
     n_eq, sigma_eq = 256, 0.2
     checks.append(
         _equivalence_check(
-            _cfg(scenario="fig3-direct", n=n_eq, extent=16.0, detector_sigma=sigma_eq),
+            ScenarioConfig(
+                scenario="fig3-direct", n=n_eq, extent=16.0, detector_sigma=sigma_eq
+            ),
             "fig3-direct/no-mask",
         )
     )
     checks.append(
         _equivalence_check(
-            _cfg(
+            ScenarioConfig(
                 scenario="fig3-direct",
                 mask_kind="double-slit",
                 n=n_eq,
@@ -612,7 +594,7 @@ def verify_report(fast: bool = False) -> list[CheckResult]:
     )
     checks.append(
         _equivalence_check(
-            _cfg(
+            ScenarioConfig(
                 scenario="fourier-2f",
                 mask_kind="slit",
                 mask_width=0.8,
@@ -651,7 +633,12 @@ def main(argv=None) -> int:
         prog="biphoton", description="two-photon conditional imaging simulator"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="run a scenario config")
+    p_run = sub.add_parser(
+        "run",
+        help="run a scenario config",
+        epilog=_config_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     p_run.add_argument("--config", required=True, help="path to a config file")
     p_run.add_argument("--out", default=None, help="output directory override")
     p_ver = sub.add_parser("verify", help="run the verification suite")

@@ -331,8 +331,7 @@ def compile_chain(elements) -> list[_Op]:
 
 def apply_forward(e: Element, f: Field) -> Field:
     """Apply one element in the physical (time-forward) direction."""
-    (op,) = compile_chain([e])
-    return Field(f.grid, op.forward(f.values, f.grid))
+    return apply_chain_forward((e,), f)
 
 
 def apply_backward(e: Element, f: Field) -> Field:
@@ -342,8 +341,7 @@ def apply_backward(e: Element, f: Field) -> Field:
     for :class:`Mask` it is the same multiplication by ``t(x)`` (the
     conditioning step conjugates the whole arm profile once).
     """
-    (op,) = compile_chain([e])
-    return Field(f.grid, op.backward(f.values, f.grid))
+    return apply_chain_backward((e,), f)
 
 
 def apply_chain_forward(elements, f: Field) -> Field:

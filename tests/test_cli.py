@@ -1,12 +1,16 @@
 """Config parsing, scenario construction, file emission, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from biphoton import ConfigError, FourierLens, Mask, Propagate
 from biphoton.cli import (
+    _SCHEMA,
+    SCENARIOS,
     ScenarioConfig,
     build_setup,
     main,
@@ -43,6 +47,10 @@ class TestParseConfig:
     def test_type_error_reports_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("kappa = sideways\n")
+        with pytest.raises(
+            ConfigError, match="line 2: output.stages: expected a boolean, got 'maybe'"
+        ):
+            parse_config("k_z = 60.0\noutput.stages = maybe\n")
 
     def test_constraint_violations(self):
         with pytest.raises(ConfigError, match="positive"):
@@ -57,20 +65,36 @@ class TestParseConfig:
         assert cfg.detector_x1 == (-1.0, 0.0, 1.0)
 
     def test_round_trip_is_lossless(self):
-        text = (
-            "scenario = fig3-direct\n"
-            "grid.n = 256\n"
-            "grid.extent = 16.0\n"
-            "kappa = 8.0\n"
-            "detector.shape = point\n"
-            "detector.x1 = 0.0, 0.5\n"
-            "mask.kind = double-slit\n"
-            "mask.width = 0.4\n"
-            "mask.separation = 2.0\n"
-            "fresnel_half_factor = true\n"
+        # every scenario, with the window left to its scenario default
+        # (fourier-2f resolves it from grid.n)
+        for scenario in SCENARIOS:
+            text = (
+                f"scenario = {scenario}\n"
+                "grid.n = 256\n"
+                "kappa = 8.0\n"
+                "detector.shape = point\n"
+                "detector.x1 = 0.0, 0.5\n"
+                "mask.kind = double-slit\n"
+                "mask.width = 0.4\n"
+                "mask.separation = 2.0\n"
+                "fresnel_half_factor = true\n"
+            )
+            cfg = parse_config(text)
+            again = parse_config(serialize_config(cfg))
+            assert again == cfg, scenario
+            assert build_setup(again).grid == build_setup(cfg).grid, scenario
+
+    def test_docs_list_every_schema_key(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        readme_keys = set(re.findall(r"^\| `([^`]+)` \|", readme, re.MULTILINE))
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--help"])
+        assert exit_.value.code == 0
+        help_keys = set(
+            re.findall(r"^  ([\w.]+) =", capsys.readouterr().out, re.MULTILINE)
         )
-        cfg = parse_config(text)
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert readme_keys == set(_SCHEMA)
+        assert help_keys == set(_SCHEMA)
 
 
 class TestBuildSetup:
@@ -125,7 +149,15 @@ class TestBuildSetup:
         path = tmp_path / "mask.csv"
         path.write_text("\n".join("1.5" for _ in range(64)) + "\n")
         cfg = parse_config(f"grid.n = 64\nmask.kind = table\nmask.file = {path}\n")
-        with pytest.raises(ConfigError, match="<= 1"):
+        with pytest.raises(ConfigError, match="<= 1") as err:
+            build_setup(cfg)
+        assert str(err.value).startswith("mask.file: ")
+        path.write_text("0.5\n")
+        with pytest.raises(ConfigError, match="^mask.file: .*1 rows; grid.n needs 64"):
+            build_setup(cfg)
+        path.write_text("0.5\n0.5, oops\n")
+        bad_row = "^mask.file: bad row '0.5, oops' at line 2 "
+        with pytest.raises(ConfigError, match=bad_row):
             build_setup(cfg)
 
 
@@ -202,6 +234,20 @@ class TestMainExitCodes:
             f"mask.kind = table\nmask.file = {mask}\n"
         )
         assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("positions", ["0.00001, 0.00002, 0.5", "0.5, 0.5"])
+    def test_colliding_sweep_names_are_exit_1(self, tmp_path, capsys, positions):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(
+            f"grid.n = 256\ndetector.sigma = 0.2\ndetector.x1 = {positions}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        first, second = positions.split(",")[:2]
+        assert "detector.x1" in err
+        assert f"{float(first)!r} and {float(second)!r}" in err
+        assert not out.exists()
 
     def test_sampling_guard_is_exit_1_and_names_config_keys(self, tmp_path, capsys):
         # f = 10 on the default 512-point, extent-16 grid undersamples the
