@@ -336,18 +336,17 @@ def run(cfg: ScenarioConfig, out_dir: str | None = None) -> list[Path]:
     """Execute a configuration and emit CSV (and optional stage) files.
 
     One position writes ``conditional.csv``; a sweep writes one
-    position-suffixed file per position.
+    position-suffixed file per position.  The output directory is created
+    only once every conditional has been computed.
     """
     tags = _file_tags(cfg.detector_x1)
-    out = Path(out_dir if out_dir is not None else cfg.output_path)
-    out.mkdir(parents=True, exist_ok=True)
     setup = build_setup(cfg)
-    if len(tags) == 1:
-        # not sweep_conditioning, whose SweepError would turn a dark
-        # conditional (exit 2) into a validation error (exit 1)
+    if len(tags) == 1:  # a SweepError would turn a dark exit 2 into exit 1
         results = [run_retrodictive(setup)]
     else:
         results = sweep_conditioning(setup, cfg.detector_x1)
+    out = Path(out_dir if out_dir is not None else cfg.output_path)
+    out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for tag, result in zip(tags, results):
         path = out / f"conditional{tag}.csv"

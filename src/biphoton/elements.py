@@ -146,6 +146,12 @@ def materialize_detector(d: DetectorProfile, g: TransverseGrid) -> Field:
     grid-native delta: a single sample of height ``1/sqrt(dx)`` at the
     nearest grid point.
     """
+    return Field(g, _detector_rows(d, g, [d.center])[0])
+
+
+def _detector_rows(d: DetectorProfile, g: TransverseGrid, centres) -> np.ndarray:
+    """Row ``i``: :func:`materialize_detector` of ``d`` moved to ``centres[i]``."""
+    c = np.asarray(centres, dtype=np.float64).reshape(-1, 1)
     if d.shape == "gaussian":
         if d.sigma < 2 * g.dx:
             raise ValueError(
@@ -153,7 +159,7 @@ def materialize_detector(d: DetectorProfile, g: TransverseGrid) -> Field:
                 f"minimum is 2*dx = {2 * g.dx:g}"
             )
         v = (1.0 / (np.pi * d.sigma**2)) ** 0.25 * np.exp(
-            -((g.x - d.center) ** 2) / (2.0 * d.sigma**2)
+            -((g.x - c) ** 2) / (2.0 * d.sigma**2)
         )
     elif d.shape == "tophat":
         if d.width < 2 * g.dx:
@@ -161,15 +167,15 @@ def materialize_detector(d: DetectorProfile, g: TransverseGrid) -> Field:
                 f"tophat detector width={d.width:g} unresolvable: "
                 f"minimum is 2*dx = {2 * g.dx:g}"
             )
-        v = (np.abs(g.x - d.center) < d.width / 2.0).astype(float)
-        if not np.any(v):
+        v = (np.abs(g.x - c) < d.width / 2.0).astype(float)
+        if not np.all(np.any(v, axis=1)):
             raise ValueError("tophat detector covers no grid point")
     else:  # point
-        v = np.zeros(g.n)
-        v[g.index_of(d.center)] = 1.0
+        v = np.zeros((len(c), g.n))
+        v[np.arange(len(c)), [g.index_of(p) for p in c[:, 0]]] = 1.0
     v = v.astype(np.complex128)
-    v /= np.sqrt(np.sum(np.abs(v) ** 2) * g.dx)
-    return Field(g, v)
+    v /= np.sqrt(np.sum(np.abs(v) ** 2, axis=1, keepdims=True) * g.dx)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +244,14 @@ class _SpectralPhaseOp(_Op):
         ph = np.exp(sign * -1j * g.k**2 * e.phase_distance() / e.k_z)
         return _axis_broadcast(ph, ndim, axis)
 
-    def forward(self, v, g, axis=-1):
+    def forward(self, v, g, axis=-1, sign=+1.0):
         if self.element.z == 0.0:
             return v.copy()
-        ph = self._phase(g, +1.0, v.ndim, axis)
+        ph = self._phase(g, sign, v.ndim, axis)
         return _idft_values(ph * _dft_values(v, axis), axis)
 
     def backward(self, v, g, axis=-1):
-        if self.element.z == 0.0:
-            return v.copy()
-        ph = self._phase(g, -1.0, v.ndim, axis)
-        return _idft_values(ph * _dft_values(v, axis), axis)
+        return self.forward(v, g, axis, sign=-1.0)
 
 
 class _LensOp(_Op):
@@ -299,31 +302,37 @@ def compile_chain(elements) -> list[_Op]:
 
     Adjacent ``{Propagate, FourierLens}`` pairs (in either order) merge
     into one spectral-phase propagation; the scan is greedy left to right.
+    An alternating run that starts and ends with a lens (``L P L``, ...)
+    is rejected: which lens a propagation fuses with would depend on the
+    traversal direction, so the two routes would compute different maps.
     """
     ops: list[_Op] = []
     es = list(elements)
     i = 0
     while i < len(es):
-        e = es[i]
+        prev, e = es[i - 1] if i else None, es[i]
         nxt = es[i + 1] if i + 1 < len(es) else None
+        i += 1
         if isinstance(e, Propagate) and isinstance(nxt, FourierLens):
             ops.append(_SpectralPhaseOp(e))
-            i += 2
+            i += 1
         elif isinstance(e, FourierLens) and isinstance(nxt, Propagate):
             ops.append(_SpectralPhaseOp(nxt))
-            i += 2
+            i += 1
         elif isinstance(e, Propagate):
             ops.append(_SpectralPhaseOp(e))
-            i += 1
         elif isinstance(e, FourierLens):
+            if isinstance(prev, Propagate):  # prev fused with the lens before it
+                raise ValueError(
+                    f"ambiguous lens chain {es[i - 3:i]}: the propagation "
+                    f"could fuse with either lens; give the lens/propagation "
+                    f"run an even length"
+                )
             ops.append(_LensOp())
-            i += 1
         elif isinstance(e, QuadraticPhase):
             ops.append(_QuadraticPhaseOp(e))
-            i += 1
         elif isinstance(e, Mask):
             ops.append(_MaskOp(e))
-            i += 1
         else:
             raise TypeError(f"unknown element {e!r}")
     return ops

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import DetectorProfile, Mask, compile_chain, materialize_detector
+from .elements import DetectorProfile, Mask, _detector_rows, compile_chain
 from .errors import DarkConditionalError, GridError
 from .grid import Field, TransverseGrid, _readonly
 from .retrodict import DARK_WEIGHT, ConditionalDistribution, ImagingSetup
@@ -70,19 +70,6 @@ def evolve_joint(
     return BiphotonField(g, v)
 
 
-def _detector_bank(d: DetectorProfile, g: TransverseGrid) -> np.ndarray:
-    """Profiles of the detector family, one row per grid-centre position."""
-    if d.shape == "point":
-        return np.eye(g.n, dtype=np.complex128) / np.sqrt(g.dx)
-    rows = np.empty((g.n, g.n), dtype=np.complex128)
-    for i, c in enumerate(g.x):
-        rows[i] = materialize_detector(
-            DetectorProfile(d.shape, center=float(c), sigma=d.sigma, width=d.width),
-            g,
-        ).values
-    return rows
-
-
 def joint_distribution(Psi: BiphotonField, detector1: DetectorProfile) -> JointDistribution:
     """Joint detection density from an evolved pair amplitude.
 
@@ -91,7 +78,7 @@ def joint_distribution(Psi: BiphotonField, detector1: DetectorProfile) -> JointD
     pointwise.  The squared modulus is normalized over both coordinates.
     """
     g = Psi.grid
-    bank = _detector_bank(detector1, g)
+    bank = _detector_rows(detector1, g, g.x)
     A = g.dx * (np.conj(bank) @ Psi.values)
     dens = np.abs(A) ** 2
     total = float(dens.sum())

@@ -9,11 +9,11 @@ the conditional detection density P(x2 | x1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import DetectorProfile, compile_chain, materialize_detector
+from .elements import DetectorProfile, _detector_rows, compile_chain
 from .errors import DarkConditionalError, EdgeLeakageError, GridError, SweepError
 from .grid import Field, TransverseGrid, _readonly, edge_energy_fraction
 from .source import BiphotonField, DeltaCorrelatedSource, condition
@@ -104,83 +104,88 @@ def _central80(g: TransverseGrid, position: float) -> None:
         )
 
 
-def run_retrodictive(
-    setup: ImagingSetup, *, edge_limit: float = EDGE_LEAKAGE_LIMIT
-) -> RetrodictiveResult:
-    """Run the full detection-conditioned pipeline for one x1.
+def _run_rows(setup: ImagingSetup, positions: list, edge_limit: float) -> list:
+    """Push an (m, n) stack of detector rows through each compiled op once.
 
-    Raises :class:`DarkConditionalError` when the final profile carries no
-    weight (conditioning on an impossible event), and
-    :class:`EdgeLeakageError` when the conditioned crystal state has more
-    than ``edge_limit`` of its energy in the outer 10% of the periodic
-    window.
+    Conditioning and the edge and dark checks act per row: each position
+    gets its result or the error it raised.  Other errors are raised once.
     """
-    g = setup.grid
-    _central80(g, setup.detector1.center)
-
-    alpha = materialize_detector(setup.detector1, g)
-    v = alpha.values
-    arm1_stages = []
+    g, m = setup.grid, len(positions)
+    for p in positions:
+        _central80(g, p)
+    stack = [_detector_rows(setup.detector1, g, positions)]
     for op in compile_chain(setup.arm1):
-        v = op.backward(v, g)
-        arm1_stages.append(Field(g, v))
-    alpha3 = arm1_stages[-1] if arm1_stages else alpha
+        stack.append(op.backward(stack[-1], g))
+    arm1 = [[Field(g, s[i]) for s in stack] for i in range(m)]
+    beta1 = [condition(setup.source, fields[-1]) for fields in arm1]
+    stack = [np.array([b.values for b in beta1]).reshape(m, g.n)]
+    for op in compile_chain(setup.arm2):
+        stack.append(op.forward(stack[-1], g))
+    arm2 = [[Field(g, s[i]) for s in stack[1:]] for i in range(m)]
+    return [_finish_row(g, *row, edge_limit) for row in zip(positions, arm1, beta1, arm2)]
 
-    beta1 = condition(setup.source, alpha3)
 
+def _finish_row(g: TransverseGrid, x1, arm1: list, beta1: Field, arm2: list, edge_limit):
+    """One row's checks and density: its result, or the error it raised."""
     edge = {"beta1": edge_energy_fraction(beta1)}
     if edge["beta1"] > edge_limit:
-        raise EdgeLeakageError(
+        return EdgeLeakageError(
             f"conditioned crystal state has edge energy fraction "
             f"{edge['beta1']:.3e} > {edge_limit:.1e}; enlarge the window or "
             f"confine the scenario"
         )
-
-    v = beta1.values
-    arm2_stages = []
-    for op in compile_chain(setup.arm2):
-        v = op.forward(v, g)
-        arm2_stages.append(Field(g, v))
-    beta2 = arm2_stages[-1] if arm2_stages else beta1
+    beta2 = arm2[-1] if arm2 else beta1
     edge["beta2"] = edge_energy_fraction(beta2)
-
     weight = float(np.sum(np.abs(beta2.values) ** 2))
     if weight < DARK_WEIGHT:
-        raise DarkConditionalError(
-            f"dark conditional at x1={setup.detector1.center:g}: the "
+        return DarkConditionalError(
+            f"dark conditional at x1={x1:g}: the "
             f"detected event has numerically zero probability"
         )
     density = np.abs(beta2.values) ** 2 / (weight * g.dx)
-    dist = ConditionalDistribution(g, density, setup.detector1.center)
     return RetrodictiveResult(
-        distribution=dist,
-        alpha=alpha,
-        arm1_stages=tuple(arm1_stages),
-        alpha3=alpha3,
+        distribution=ConditionalDistribution(g, density, x1),
+        alpha=arm1[0],
+        arm1_stages=tuple(arm1[1:]),
+        alpha3=arm1[-1],
         beta1=beta1,
-        arm2_stages=tuple(arm2_stages),
+        arm2_stages=tuple(arm2),
         beta2=beta2,
         edge_fractions=edge,
     )
 
 
-def sweep_conditioning(setup: ImagingSetup, positions) -> list[RetrodictiveResult]:
-    """Run the pipeline once per conditioning position, in order.
+def run_retrodictive(
+    setup: ImagingSetup, *, edge_limit: float = EDGE_LEAKAGE_LIMIT
+) -> RetrodictiveResult:
+    """Run the full detection-conditioned pipeline for one x1.
 
-    Every position must lie in the central 80% of the window.  Failures
-    are collected and raised together as :class:`SweepError` after all
-    positions have been attempted.
+    The one-row case of :func:`sweep_conditioning`.  Raises
+    :class:`DarkConditionalError` when the final profile carries no weight
+    (conditioning on an impossible event), and :class:`EdgeLeakageError`
+    when the conditioned crystal state has more than ``edge_limit`` of its
+    energy in the outer 10% of the periodic window.
+    """
+    (row,) = _run_rows(setup, [setup.detector1.center], edge_limit)
+    if isinstance(row, Exception):
+        raise row
+    return row
+
+
+def sweep_conditioning(setup: ImagingSetup, positions) -> list[RetrodictiveResult]:
+    """Run the pipeline for every conditioning position, in order.
+
+    All positions go through each compiled op together, as one (m, n)
+    stack; ``setup.detector1`` supplies the profile shape.  Every position
+    must lie in the central 80% of the window.  An error of the setup
+    itself (an undersampled propagation, an unresolvable detector, an
+    ambiguous lens chain) is raised once.  Per-position edge-leakage and
+    dark-conditional failures are collected and raised together as
+    :class:`SweepError`.
     """
     positions = list(positions)
-    for p in positions:
-        _central80(setup.grid, p)
-    results, failures = [], []
-    for p in positions:
-        sub = replace(setup, detector1=replace(setup.detector1, center=p))
-        try:
-            results.append(run_retrodictive(sub))
-        except Exception as exc:  # noqa: BLE001 - aggregated and re-raised
-            failures.append((p, exc))
+    rows = _run_rows(setup, positions, EDGE_LEAKAGE_LIMIT)
+    failures = [(p, r) for p, r in zip(positions, rows) if isinstance(r, Exception)]
     if failures:
         raise SweepError(failures)
-    return results
+    return rows

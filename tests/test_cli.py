@@ -233,7 +233,9 @@ class TestMainExitCodes:
             "grid.n = 256\ndetector.sigma = 0.2\n"
             f"mask.kind = table\nmask.file = {mask}\n"
         )
-        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("positions", ["0.00001, 0.00002, 0.5", "0.5, 0.5"])
     def test_colliding_sweep_names_are_exit_1(self, tmp_path, capsys, positions):
@@ -254,10 +256,19 @@ class TestMainExitCodes:
         # focal propagation; the fix keeps grid.extent / grid.n fixed
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("f = 10\n")
-        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "grid.n >= 1024" in err
         assert "grid.extent = 32" in err and "grid.extent / grid.n = 0.03125" in err
+        assert not out.exists()
+        # a sweep reports the setup's error once, not once per position
+        sweep = tmp_path / "s.cfg"
+        sweep.write_text("f = 10\ndetector.x1 = -0.5, 0.0, 0.5\n")
+        assert main(["run", "--config", str(sweep), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("undersampled") == 1 and "grid.n >= 1024" in err
+        assert not out.exists()
         follow = tmp_path / "d.cfg"
         follow.write_text("f = 10\ngrid.n = 1024\ngrid.extent = 32\n")
         assert main(["run", "--config", str(follow), "--out", str(tmp_path)]) == 0

@@ -1,5 +1,7 @@
 """Element algebra: detector profiles, element actions, adjoints, chains."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from biphoton import (
     make_grid,
     materialize_detector,
 )
+from biphoton.elements import _detector_rows, compile_chain
 from conftest import random_field
 
 F, KZ = 2.0, 50.0
@@ -83,6 +86,31 @@ class TestMaterializeDetector:
             DetectorProfile("blob")
         with pytest.raises(ValueError):
             DetectorProfile("gaussian", 0.0, sigma=-1.0)
+
+
+class TestDetectorRows:
+    @pytest.mark.parametrize(
+        "det",
+        [
+            DetectorProfile("gaussian", sigma=0.3),
+            DetectorProfile("tophat", width=0.7),
+            DetectorProfile("point"),
+        ],
+    )
+    def test_rows_equal_single_profiles_bit_for_bit(self, det):
+        g = make_grid(256, 16.0)
+        centres = np.concatenate([g.x, [0.013, -1.37, 2.4999]])
+        rows = _detector_rows(det, g, centres)
+        assert rows.shape == (len(centres), g.n)
+        for c, row in zip(centres, rows):
+            one = materialize_detector(replace(det, center=float(c)), g)
+            assert row.tobytes() == one.values.tobytes()
+
+    def test_point_rows_on_grid_centres_are_the_scaled_identity(self):
+        g = make_grid(256, 16.0)
+        rows = _detector_rows(DetectorProfile("point"), g, g.x)
+        eye = np.eye(g.n, dtype=np.complex128) / np.sqrt(g.dx)
+        assert rows.tobytes() == eye.tobytes()
 
 
 class TestSingleElements:
@@ -233,6 +261,34 @@ class TestChains:
             phase /= abs(phase)
             err = np.max(np.abs(out.values * phase - ref)) / np.max(np.abs(ref))
             assert err <= 1e-6
+
+    @pytest.mark.parametrize(
+        "pattern, ambiguous",
+        [
+            ("LPL", True),
+            ("LPLPL", True),
+            ("LLPL", True),
+            ("PLPL", False),
+            ("LPLP", False),
+            ("PLP", False),
+            ("LPPL", False),
+            ("PLLP", False),
+            ("L", False),
+        ],
+    )
+    def test_lens_runs_that_start_and_end_with_a_lens_are_rejected(
+        self, pattern, ambiguous
+    ):
+        # greedy fusion pairs such a run differently read backwards, so the
+        # two routes would fuse each propagation with a different lens
+        chain = [FourierLens() if c == "L" else Propagate(1.0, KZ) for c in pattern]
+        if ambiguous:
+            with pytest.raises(ValueError, match=r"ambiguous lens chain \[FourierLens"):
+                compile_chain(chain)
+            with pytest.raises(ValueError, match="ambiguous lens chain"):
+                compile_chain(chain[::-1])
+        else:
+            assert len(compile_chain(chain)) == len(compile_chain(chain[::-1]))
 
     def test_lone_lens_roundtrip_and_point_flattening(self, grid16):
         lens = FourierLens()

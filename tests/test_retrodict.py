@@ -13,6 +13,7 @@ from biphoton import (
     ImagingSetup,
     Mask,
     Propagate,
+    SamplingGuardError,
     SweepError,
     conditional_from_joint,
     joint_for_setup,
@@ -146,6 +147,21 @@ class TestSweep:
         with pytest.raises(ValueError, match="central 80%"):
             sweep_conditioning(setup, [0.0, 0.95 * grid16.extent / 2])
 
+    def test_setup_error_raised_once_not_per_position(self):
+        # f = 200 at k_z = 1 undersamples the focal propagation on n = 64:
+        # no position escapes it, so it is raised once and not as SweepError
+        g = make_grid(64, 16.0)
+        setup = ImagingSetup(
+            grid=g,
+            arm1=(Propagate(200.0, 1.0), FourierLens()),
+            arm2=(),
+            source=make_biphoton_delta_correlated(g, kappa=1.0),
+            detector1=DetectorProfile("gaussian", center=0.0, sigma=0.6),
+        )
+        with pytest.raises(SamplingGuardError) as err:
+            sweep_conditioning(setup, [-0.5, 0.0, 0.5])
+        assert err.value.required_n > g.n
+
     def test_failures_aggregated_with_positions(self, grid16):
         # opaque mask: every position is a dark conditional
         setup = fig3_setup(grid16, np.zeros(grid16.n))
@@ -190,4 +206,35 @@ class TestNonDiagonalSource:
         setup = self.low_rank_setup(grid16, x1)
         retro = run_retrodictive(setup).distribution.density
         oracle = conditional_from_joint(joint_for_setup(setup), x1).density
+        assert np.max(np.abs(retro - oracle)) <= 1e-8
+
+
+class TestAmbiguousLensChain:
+    """A lens, a propagation and a lens: the retro route fused the
+    propagation with the first lens and the oracle with the last, so the
+    routes differed by 2.3e-4; the chain is now rejected by both."""
+
+    @staticmethod
+    def setup_with(arm1):
+        g = make_grid(64, 16.0)
+        return ImagingSetup(
+            grid=g,
+            arm1=arm1,
+            arm2=(),
+            source=make_biphoton_delta_correlated(g, kappa=1.0),
+            detector1=DetectorProfile("gaussian", center=0.0, sigma=0.6),
+        )
+
+    def test_lens_propagation_lens_is_rejected_by_both_routes(self):
+        setup = self.setup_with((FourierLens(), Propagate(1.0, KZ), FourierLens()))
+        names = r"ambiguous lens chain \[FourierLens\(\), Propagate\(z=1.0.*FourierLens\(\)\]"
+        with pytest.raises(ValueError, match=names):
+            run_retrodictive(setup)
+        with pytest.raises(ValueError, match=names):
+            joint_for_setup(setup)
+
+    def test_propagation_lens_propagation_routes_agree(self):
+        setup = self.setup_with((Propagate(1.0, KZ), FourierLens(), Propagate(0.5, KZ)))
+        retro = run_retrodictive(setup).distribution.density
+        oracle = conditional_from_joint(joint_for_setup(setup), 0.0).density
         assert np.max(np.abs(retro - oracle)) <= 1e-8
