@@ -4,7 +4,8 @@ Commands: ``run --config FILE [--out DIR]``, ``verify [--fast]``,
 ``scenarios``.  Config files are flat ``key = value`` text, one setting
 per line, ``#`` comments allowed; ``biphoton run --help`` lists every key
 with its default.  Exit codes: 0 success, 1 validation error, 2 dark
-conditional, 3 verification failure.
+conditional (in a sweep: every failed position is dark), 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import hilbert, predict
 from .elements import DetectorProfile, FourierLens, Mask, Propagate
-from .errors import BiphotonError, ConfigError, DarkConditionalError
+from .errors import BiphotonError, ConfigError, DarkConditionalError, SweepError
 from .grid import Field, make_grid
 from .retrodict import ImagingSetup, run_retrodictive, sweep_conditioning
 from .source import make_biphoton_delta_correlated
@@ -336,15 +337,14 @@ def run(cfg: ScenarioConfig, out_dir: str | None = None) -> list[Path]:
     """Execute a configuration and emit CSV (and optional stage) files.
 
     One position writes ``conditional.csv``; a sweep writes one
-    position-suffixed file per position.  The output directory is created
-    only once every conditional has been computed.
+    position-suffixed file per position.  Either way the positions run as
+    one :func:`sweep_conditioning`, so per-position failures raise one
+    ``SweepError``.  The output directory is created only once every
+    conditional has been computed.
     """
     tags = _file_tags(cfg.detector_x1)
     setup = build_setup(cfg)
-    if len(tags) == 1:  # a SweepError would turn a dark exit 2 into exit 1
-        results = [run_retrodictive(setup)]
-    else:
-        results = sweep_conditioning(setup, cfg.detector_x1)
+    results = sweep_conditioning(setup, cfg.detector_x1)
     out = Path(out_dir if out_dir is not None else cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -662,15 +662,14 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text)
         written = run(cfg, out_dir=args.out)
-    except DarkConditionalError as exc:
+    except (BiphotonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BiphotonError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # every conditional of a run comes from one sweep, so a dark run is
+        # a SweepError whose every failure is dark
+        dark = isinstance(exc, SweepError) and all(
+            isinstance(e, DarkConditionalError) for _, e in exc.failures
+        )
+        return 2 if dark else 1
     for path in written:
         print(path)
     return 0

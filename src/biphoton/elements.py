@@ -31,6 +31,11 @@ Conventions
   spectral-phase propagation, which reproduces the analytic focal-plane
   profile of a Gaussian detector exactly.  A lone ``FourierLens`` keeps
   its standalone transform action.
+* A compiled op (see :func:`compile_chain`) is ``op.forward(v, g)`` /
+  ``op.backward(v, g)`` and acts on the last axis of ``v``: one sample
+  vector of shape ``(n,)`` or an ``(m, n)`` stack of rows, each row
+  transformed on its own.  A caller that holds its vectors as columns
+  transposes first (the forward oracle does this for arm 1).
 """
 
 from __future__ import annotations
@@ -211,23 +216,7 @@ def _guard_propagation(e: Propagate, g: TransverseGrid) -> None:
         )
 
 
-class _Op:
-    """One compiled chain stage acting on sample arrays along an axis."""
-
-    def forward(self, v: np.ndarray, g: TransverseGrid, axis: int = -1):
-        raise NotImplementedError
-
-    def backward(self, v: np.ndarray, g: TransverseGrid, axis: int = -1):
-        raise NotImplementedError
-
-
-def _axis_broadcast(arr: np.ndarray, ndim: int, axis: int) -> np.ndarray:
-    shape = [1] * ndim
-    shape[axis] = arr.shape[0]
-    return arr.reshape(shape)
-
-
-class _SpectralPhaseOp(_Op):
+class _SpectralPhaseOp:
     """Propagation applied as a phase in wavevector space (closed form).
 
     Also represents a fused propagation + lens pair: the closed map is the
@@ -238,66 +227,61 @@ class _SpectralPhaseOp(_Op):
     def __init__(self, element: Propagate):
         self.element = element
 
-    def _phase(self, g: TransverseGrid, sign: float, ndim: int, axis: int):
+    def _propagate(self, v, g: TransverseGrid, sign: float):
         e = self.element
+        if e.z == 0.0:
+            return v.copy()
         _guard_propagation(e, g)
         ph = np.exp(sign * -1j * g.k**2 * e.phase_distance() / e.k_z)
-        return _axis_broadcast(ph, ndim, axis)
+        return _idft_values(ph * _dft_values(v))
 
-    def forward(self, v, g, axis=-1, sign=+1.0):
-        if self.element.z == 0.0:
-            return v.copy()
-        ph = self._phase(g, sign, v.ndim, axis)
-        return _idft_values(ph * _dft_values(v, axis), axis)
+    def forward(self, v, g):
+        return self._propagate(v, g, +1.0)
 
-    def backward(self, v, g, axis=-1):
-        return self.forward(v, g, axis, sign=-1.0)
+    def backward(self, v, g):
+        return self._propagate(v, g, -1.0)
 
 
-class _LensOp(_Op):
+class _LensOp:
     """Standalone Fourier lens: unitary k-content -> position transform."""
 
-    def forward(self, v, g, axis=-1):
-        return _idft_values(np.fft.ifftshift(v, axes=axis), axis)
+    def forward(self, v, g):
+        return _idft_values(np.fft.ifftshift(v, axes=-1))
 
-    def backward(self, v, g, axis=-1):
-        return np.fft.fftshift(_dft_values(v, axis), axes=axis)
+    def backward(self, v, g):
+        return np.fft.fftshift(_dft_values(v), axes=-1)
 
 
-class _QuadraticPhaseOp(_Op):
+class _QuadraticPhaseOp:
     def __init__(self, element: QuadraticPhase):
         self.element = element
 
-    def _chirp(self, g: TransverseGrid, ndim: int, axis: int):
+    def _chirp(self, g: TransverseGrid):
         e = self.element
-        ph = np.exp(-1j * e.k_z * g.x**2 / (2.0 * e.f))
-        return _axis_broadcast(ph, ndim, axis)
+        return np.exp(-1j * e.k_z * g.x**2 / (2.0 * e.f))
 
-    def forward(self, v, g, axis=-1):
-        return self._chirp(g, v.ndim, axis) * v
+    def forward(self, v, g):
+        return self._chirp(g) * v
 
-    def backward(self, v, g, axis=-1):
-        return np.conj(self._chirp(g, v.ndim, axis)) * v
+    def backward(self, v, g):
+        return np.conj(self._chirp(g)) * v
 
 
-class _MaskOp(_Op):
+class _MaskOp:
     """Transfer function; backward is deliberately not conjugated."""
 
     def __init__(self, element: Mask):
         self.element = element
 
-    def _t(self, g: TransverseGrid, ndim: int, axis: int):
+    def forward(self, v, g):
         if self.element.t.grid != g:
             raise GridError("mask is sampled on a different grid")
-        return _axis_broadcast(self.element.t.values, ndim, axis)
-
-    def forward(self, v, g, axis=-1):
-        return self._t(g, v.ndim, axis) * v
+        return self.element.t.values * v
 
     backward = forward
 
 
-def compile_chain(elements) -> list[_Op]:
+def compile_chain(elements) -> list:
     """Compile an element sequence into ops, fusing lens/propagation pairs.
 
     Adjacent ``{Propagate, FourierLens}`` pairs (in either order) merge
@@ -306,7 +290,7 @@ def compile_chain(elements) -> list[_Op]:
     is rejected: which lens a propagation fuses with would depend on the
     traversal direction, so the two routes would compute different maps.
     """
-    ops: list[_Op] = []
+    ops = []
     es = list(elements)
     i = 0
     while i < len(es):

@@ -139,15 +139,16 @@ def _require_same_grid(a: Field, b: Field) -> TransverseGrid:
 
 # Centred unitary DFT machinery.  ifftshift rotates the sample at x = 0 to
 # index 0, so the plain FFT evaluates sum f(x) exp(-i k x) exactly for the
-# centred x array and FFT-ordered k array.
-def _dft_values(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    n = v.shape[axis]
-    return np.fft.fft(np.fft.ifftshift(v, axes=axis), axis=axis) / np.sqrt(n)
+# centred x array and FFT-ordered k array.  Both act on the last axis, so
+# an (m, n) stack of rows transforms row by row.
+def _dft_values(v: np.ndarray) -> np.ndarray:
+    n = v.shape[-1]
+    return np.fft.fft(np.fft.ifftshift(v, axes=-1)) / np.sqrt(n)
 
 
-def _idft_values(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    n = v.shape[axis]
-    return np.fft.fftshift(np.fft.ifft(v, axis=axis), axes=axis) * np.sqrt(n)
+def _idft_values(v: np.ndarray) -> np.ndarray:
+    n = v.shape[-1]
+    return np.fft.fftshift(np.fft.ifft(v), axes=-1) * np.sqrt(n)
 
 
 def dft(f: Field) -> Field:

@@ -58,15 +58,18 @@ def evolve_joint(
 
     ``arm1`` and ``arm2`` are element sequences in physical order; arm-1
     elements act along the first index, arm-2 elements along the second.
-    The two arms commute.  This is the one place that needs the source as
-    a dense ``n x n`` matrix.
+    Compiled ops act on the last axis of a row stack, so arm 1 runs on the
+    transposed matrix (its columns as rows) and arm 2 on the result
+    transposed back.  The two arms commute.  This is the one place that
+    needs the source as a dense ``n x n`` matrix.
     """
-    v = B.values
     g = B.grid
+    v = B.values.T
     for op in compile_chain(arm1):
-        v = op.forward(v, g, axis=0)
+        v = op.forward(v, g)
+    v = v.T
     for op in compile_chain(arm2):
-        v = op.forward(v, g, axis=1)
+        v = op.forward(v, g)
     return BiphotonField(g, v)
 
 

@@ -104,7 +104,7 @@ def _central80(g: TransverseGrid, position: float) -> None:
         )
 
 
-def _run_rows(setup: ImagingSetup, positions: list, edge_limit: float) -> list:
+def _run_rows(setup: ImagingSetup, positions: list) -> list:
     """Push an (m, n) stack of detector rows through each compiled op once.
 
     Conditioning and the edge and dark checks act per row: each position
@@ -122,17 +122,17 @@ def _run_rows(setup: ImagingSetup, positions: list, edge_limit: float) -> list:
     for op in compile_chain(setup.arm2):
         stack.append(op.forward(stack[-1], g))
     arm2 = [[Field(g, s[i]) for s in stack[1:]] for i in range(m)]
-    return [_finish_row(g, *row, edge_limit) for row in zip(positions, arm1, beta1, arm2)]
+    return [_finish_row(g, *row) for row in zip(positions, arm1, beta1, arm2)]
 
 
-def _finish_row(g: TransverseGrid, x1, arm1: list, beta1: Field, arm2: list, edge_limit):
+def _finish_row(g: TransverseGrid, x1, arm1: list, beta1: Field, arm2: list):
     """One row's checks and density: its result, or the error it raised."""
     edge = {"beta1": edge_energy_fraction(beta1)}
-    if edge["beta1"] > edge_limit:
+    if edge["beta1"] > EDGE_LEAKAGE_LIMIT:
         return EdgeLeakageError(
             f"conditioned crystal state has edge energy fraction "
-            f"{edge['beta1']:.3e} > {edge_limit:.1e}; enlarge the window or "
-            f"confine the scenario"
+            f"{edge['beta1']:.3e} > {EDGE_LEAKAGE_LIMIT:.1e}; enlarge the "
+            f"window or confine the scenario"
         )
     beta2 = arm2[-1] if arm2 else beta1
     edge["beta2"] = edge_energy_fraction(beta2)
@@ -155,18 +155,16 @@ def _finish_row(g: TransverseGrid, x1, arm1: list, beta1: Field, arm2: list, edg
     )
 
 
-def run_retrodictive(
-    setup: ImagingSetup, *, edge_limit: float = EDGE_LEAKAGE_LIMIT
-) -> RetrodictiveResult:
+def run_retrodictive(setup: ImagingSetup) -> RetrodictiveResult:
     """Run the full detection-conditioned pipeline for one x1.
 
     The one-row case of :func:`sweep_conditioning`.  Raises
     :class:`DarkConditionalError` when the final profile carries no weight
     (conditioning on an impossible event), and :class:`EdgeLeakageError`
-    when the conditioned crystal state has more than ``edge_limit`` of its
-    energy in the outer 10% of the periodic window.
+    when the conditioned crystal state has more than ``EDGE_LEAKAGE_LIMIT``
+    (1e-6) of its energy in the outer 10% of the periodic window.
     """
-    (row,) = _run_rows(setup, [setup.detector1.center], edge_limit)
+    (row,) = _run_rows(setup, [setup.detector1.center])
     if isinstance(row, Exception):
         raise row
     return row
@@ -184,7 +182,7 @@ def sweep_conditioning(setup: ImagingSetup, positions) -> list[RetrodictiveResul
     :class:`SweepError`.
     """
     positions = list(positions)
-    rows = _run_rows(setup, positions, EDGE_LEAKAGE_LIMIT)
+    rows = _run_rows(setup, positions)
     failures = [(p, r) for p, r in zip(positions, rows) if isinstance(r, Exception)]
     if failures:
         raise SweepError(failures)

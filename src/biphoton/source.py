@@ -46,7 +46,7 @@ class BiphotonField:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.complex128, copy=True)
+        v = np.array(self.values, dtype=np.complex128, order="C", copy=True)
         n = self.grid.n
         if v.shape != (n, n):
             raise GridError(f"values must have shape ({n}, {n}), got {v.shape}")

@@ -189,11 +189,11 @@ class TestRunEmission:
         )
         written = run(cfg, out_dir=str(tmp_path))
         names = sorted(p.name for p in written)
-        assert names == [
-            "conditional_x1_-1.0000.csv",
+        assert names == [  # sorted: '+' comes before '-'
             "conditional_x1_+0.0000.csv",
             "conditional_x1_+1.0000.csv",
-        ] or len(names) == 3
+            "conditional_x1_-1.0000.csv",
+        ]
 
     def test_stage_emission(self, tmp_path):
         cfg = parse_config(
@@ -235,6 +235,38 @@ class TestMainExitCodes:
         )
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_all_dark_sweep_is_exit_2(self, tmp_path, capsys):
+        mask = tmp_path / "mask.csv"
+        mask.write_text("\n".join("0.0" for _ in range(256)) + "\n")
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(
+            "grid.n = 256\ndetector.sigma = 0.2\ndetector.x1 = -0.5, 0.0, 0.5\n"
+            f"mask.kind = table\nmask.file = {mask}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(f"dark conditional at x1={x1}:" in err for x1 in ("-0.5", "0", "0.5"))
+        assert not out.exists()
+
+    def test_dark_and_leaking_sweep_is_exit_1(self, tmp_path, capsys):
+        # the mask is open on x > 0 only: x1 = -3 is dark, and the wide
+        # top-hat at x1 = 6.2 reaches the window edge
+        x = (np.arange(256) - 128) * (16.0 / 256)
+        mask = tmp_path / "mask.csv"
+        mask.write_text("".join(f"{float(v)}\n" for v in x > 0))
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(
+            "scenario = custom\ngrid.n = 256\ndetector.shape = tophat\n"
+            "detector.width = 4\ndetector.x1 = -3, 6.2\n"
+            f"mask.kind = table\nmask.file = {mask}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "dark conditional at x1=-3" in err and "x1=6.2: conditioned" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("positions", ["0.00001, 0.00002, 0.5", "0.5, 0.5"])

@@ -12,6 +12,7 @@ from biphoton import (
     ImagingSetup,
     Mask,
     Propagate,
+    QuadraticPhase,
     conditional_from_joint,
     evolve_joint,
     joint_distribution,
@@ -40,6 +41,31 @@ class TestEvolveJoint:
         B = random_biphoton(small_grid, rng)
         out = evolve_joint(B, (), ())
         np.testing.assert_array_equal(out.values, B.values)
+
+    @pytest.mark.parametrize("chain", ["all-op-kinds", "zero-propagation"])
+    def test_arm1_acts_on_columns_arm2_on_rows_bit_for_bit(self, small_grid, rng, chain):
+        g = small_grid
+        B = random_biphoton(g, rng)
+        if chain == "all-op-kinds":
+            t = rng.uniform(0.3, 1.0, g.n) * np.exp(1j * rng.uniform(-np.pi, np.pi, g.n))
+            # compiles to spectral phase, quadratic phase, lens, mask and a
+            # fused lens/propagation pair
+            arm = (
+                Propagate(1.0, KZ, half_factor=True),
+                QuadraticPhase(F, KZ),
+                FourierLens(),
+                Mask(Field(g, t)),
+                Propagate(0.5, KZ),
+                FourierLens(),
+            )
+        else:
+            arm = (Propagate(0.0, KZ),)
+        cols = np.stack(
+            [apply_chain_forward(arm, Field(g, c)).values for c in B.values.T], axis=1
+        )
+        rows = np.stack([apply_chain_forward(arm, Field(g, r)).values for r in B.values])
+        assert evolve_joint(B, arm, ()).values.tobytes() == cols.tobytes()
+        assert evolve_joint(B, (), arm).values.tobytes() == rows.tobytes()
 
     def test_separable_amplitude_factorizes(self, small_grid, rng):
         u = random_field(small_grid, rng)

@@ -237,3 +237,14 @@ class TestDeltaCorrelatedStorage:
             tracemalloc.stop()
         assert peak < 32 * 2**20
         assert abs(res.distribution.density.sum() * setup.grid.dx - 1.0) <= 1e-12
+
+
+class TestBiphotonFieldLayout:
+    @pytest.mark.parametrize("layout", ["fortran", "transposed"])
+    def test_any_memory_layout_accepted(self, grid16, rng, layout):
+        n = grid16.n
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        given, held = (np.asfortranarray(m), m) if layout == "fortran" else (m.T, m.T)
+        B = BiphotonField(grid16, given)
+        np.testing.assert_array_equal(B.values, held)
+        assert B.values.flags.c_contiguous and not B.values.flags.writeable
