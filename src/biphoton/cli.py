@@ -244,6 +244,11 @@ def _mask_values(cfg: ScenarioConfig, g) -> np.ndarray | None:
             raise ConfigError(
                 f"mask.file: bad row {line!r} at line {lineno} of {cfg.mask_file!r}"
             ) from None
+        if not (np.isfinite(re_part) and np.isfinite(im_part)):
+            raise ConfigError(
+                f"mask.file: non-finite value {line!r} at line {lineno} "
+                f"of {cfg.mask_file!r}"
+            )
         rows.append(complex(re_part, im_part))
     if len(rows) != g.n:
         raise ConfigError(
@@ -286,11 +291,12 @@ def build_setup(cfg: ScenarioConfig, x1: float | None = None) -> ImagingSetup:
     return ImagingSetup(grid=g, arm1=arm1, arm2=arm2, source=source, detector1=det)
 
 
-def _write_csv(path: Path, x: np.ndarray, density: np.ndarray) -> None:
+def _write_csv(path: Path, x_text: list[str], density: np.ndarray) -> None:
+    """One full-precision ``x2,density`` row per sample; ``x_text`` holds
+    the x column already formatted, once per run."""
+    rows = "".join([f"{x},{d!r}\n" for x, d in zip(x_text, density.tolist())])
     with path.open("w", newline="") as fh:
-        fh.write("x2,probability_density\n")
-        for xi, di in zip(x, density):
-            fh.write(f"{float(xi)!r},{float(di)!r}\n")
+        fh.write("x2,probability_density\n" + rows)
 
 
 def _stage_entry(name: str, f: Field) -> dict:
@@ -347,10 +353,11 @@ def run(cfg: ScenarioConfig, out_dir: str | None = None) -> list[Path]:
     results = sweep_conditioning(setup, cfg.detector_x1)
     out = Path(out_dir if out_dir is not None else cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
+    x_text = [repr(x) for x in setup.grid.x.tolist()]
     written: list[Path] = []
     for tag, result in zip(tags, results):
         path = out / f"conditional{tag}.csv"
-        _write_csv(path, setup.grid.x, result.distribution.density)
+        _write_csv(path, x_text, result.distribution.density)
         written.append(path)
         if cfg.output_stages:
             spath = out / f"stages{tag}.json"

@@ -161,7 +161,8 @@ def _detector_rows(d: DetectorProfile, g: TransverseGrid, centres) -> np.ndarray
         if d.sigma < 2 * g.dx:
             raise ValueError(
                 f"gaussian detector sigma={d.sigma:g} unresolvable: "
-                f"minimum is 2*dx = {2 * g.dx:g}"
+                f"minimum is 2*dx = {2 * g.dx:g}; raise detector.sigma, or "
+                f"grid.n at fixed grid.extent"
             )
         v = (1.0 / (np.pi * d.sigma**2)) ** 0.25 * np.exp(
             -((g.x - c) ** 2) / (2.0 * d.sigma**2)
@@ -170,7 +171,8 @@ def _detector_rows(d: DetectorProfile, g: TransverseGrid, centres) -> np.ndarray
         if d.width < 2 * g.dx:
             raise ValueError(
                 f"tophat detector width={d.width:g} unresolvable: "
-                f"minimum is 2*dx = {2 * g.dx:g}"
+                f"minimum is 2*dx = {2 * g.dx:g}; raise detector.width, or "
+                f"grid.n at fixed grid.extent"
             )
         v = (np.abs(g.x - c) < d.width / 2.0).astype(float)
         if not np.all(np.any(v, axis=1)):

@@ -48,6 +48,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _unchecked(cls, **fields):
+    """An instance of frozen dataclass ``cls`` holding ``fields`` as given.
+
+    Skips ``__post_init__``: no copy and no validation.  For read-only rows
+    of a stack that its owner has already checked once.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class TransverseGrid:
     """Uniform 1-D transverse sampling window shared by all fields.
@@ -201,10 +213,16 @@ def edge_energy_fraction(f: Field) -> float:
     wraparound corrupts the physics once significant amplitude reaches it;
     scenario code treats large values as an error.
     """
-    g = f.grid
-    p = np.abs(f.values) ** 2
-    total = float(p.sum())
-    if total == 0.0:
-        return 0.0
-    outer = float(p[np.abs(g.x) >= 0.45 * g.extent].sum())
-    return outer / total
+    return float(_edge_fractions(f.grid, np.abs(f.values) ** 2))
+
+
+def _edge_fractions(g: TransverseGrid, p: np.ndarray) -> np.ndarray:
+    """:func:`edge_energy_fraction` of each row of ``p = |values|**2``.
+
+    One reduction over an (m, n) stack.  Each row is summed as one
+    contiguous run, as a single row would be, so the fractions are
+    bit-equal (``p[:, mask]`` is not C-ordered and would sum differently).
+    """
+    total = p.sum(axis=-1)
+    outer = np.compress(np.abs(g.x) >= 0.45 * g.extent, p, axis=-1).sum(axis=-1)
+    return np.divide(outer, total, out=np.zeros_like(total), where=total != 0.0)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .elements import DetectorProfile, _detector_rows, compile_chain
 from .errors import DarkConditionalError, EdgeLeakageError, GridError, SweepError
-from .grid import Field, TransverseGrid, _readonly, edge_energy_fraction
-from .source import BiphotonField, DeltaCorrelatedSource, condition
+from .grid import Field, TransverseGrid, _edge_fractions, _readonly, _unchecked
+from .source import BiphotonField, DeltaCorrelatedSource
 
 __all__ = [
     "ImagingSetup",
@@ -84,6 +84,12 @@ class RetrodictiveResult:
     state at the crystal, ``beta2`` the final arm-2 profile, and
     ``edge_fractions`` maps stage names to their window-edge energy
     fractions.
+
+    The fields and the density are read-only.  In a result from
+    :func:`sweep_conditioning` (or :func:`run_retrodictive`, its one-row
+    case) they are views onto one (m, n) stack per stage, shared by every
+    position of the sweep: holding one row keeps the whole sweep's stacks
+    alive.  Copy a row's arrays to keep them alone.
     """
 
     distribution: ConditionalDistribution
@@ -100,59 +106,87 @@ def _central80(g: TransverseGrid, position: float) -> None:
     if abs(position) > 0.4 * g.extent:
         raise ValueError(
             f"conditioning position {position:g} outside the central 80% "
-            f"of the window (|x1| <= {0.4 * g.extent:g})"
+            f"of the window (|x1| <= {0.4 * g.extent:g}); move detector.x1 "
+            f"inward or enlarge grid.extent"
         )
+
+
+def _stack(a: np.ndarray) -> np.ndarray:
+    """One stage as a C-contiguous, read-only (m, n) stack, checked once."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    if not np.all(np.isfinite(a.view(np.float64))):
+        raise GridError("field values must be finite")
+    return _readonly(a)
 
 
 def _run_rows(setup: ImagingSetup, positions: list) -> list:
     """Push an (m, n) stack of detector rows through each compiled op once.
 
-    Conditioning and the edge and dark checks act per row: each position
-    gets its result or the error it raised.  Other errors are raised once.
+    Every stage stays one read-only stack; conditioning, the edge and dark
+    checks and the normalization are each one operation over it.  Each
+    position gets its result, whose fields are views onto the stacks, or
+    the error it raised.  Other errors are raised once.
     """
-    g, m = setup.grid, len(positions)
+    g = setup.grid
     for p in positions:
         _central80(g, p)
-    stack = [_detector_rows(setup.detector1, g, positions)]
+    arm1 = [_stack(_detector_rows(setup.detector1, g, positions))]
     for op in compile_chain(setup.arm1):
-        stack.append(op.backward(stack[-1], g))
-    arm1 = [[Field(g, s[i]) for s in stack] for i in range(m)]
-    beta1 = [condition(setup.source, fields[-1]) for fields in arm1]
-    stack = [np.array([b.values for b in beta1]).reshape(m, g.n)]
+        arm1.append(_stack(op.backward(arm1[-1], g)))
+    arm2 = [_stack(setup.source.project_arm1(arm1[-1]))]
     for op in compile_chain(setup.arm2):
-        stack.append(op.forward(stack[-1], g))
-    arm2 = [[Field(g, s[i]) for s in stack[1:]] for i in range(m)]
-    return [_finish_row(g, *row) for row in zip(positions, arm1, beta1, arm2)]
-
-
-def _finish_row(g: TransverseGrid, x1, arm1: list, beta1: Field, arm2: list):
-    """One row's checks and density: its result, or the error it raised."""
-    edge = {"beta1": edge_energy_fraction(beta1)}
-    if edge["beta1"] > EDGE_LEAKAGE_LIMIT:
-        return EdgeLeakageError(
-            f"conditioned crystal state has edge energy fraction "
-            f"{edge['beta1']:.3e} > {EDGE_LEAKAGE_LIMIT:.1e}; enlarge the "
-            f"window or confine the scenario"
-        )
-    beta2 = arm2[-1] if arm2 else beta1
-    edge["beta2"] = edge_energy_fraction(beta2)
-    weight = float(np.sum(np.abs(beta2.values) ** 2))
-    if weight < DARK_WEIGHT:
-        return DarkConditionalError(
-            f"dark conditional at x1={x1:g}: the "
-            f"detected event has numerically zero probability"
-        )
-    density = np.abs(beta2.values) ** 2 / (weight * g.dx)
-    return RetrodictiveResult(
-        distribution=ConditionalDistribution(g, density, x1),
-        alpha=arm1[0],
-        arm1_stages=tuple(arm1[1:]),
-        alpha3=arm1[-1],
-        beta1=beta1,
-        arm2_stages=tuple(arm2),
-        beta2=beta2,
-        edge_fractions=edge,
+        arm2.append(_stack(op.forward(arm2[-1], g)))
+    p1 = np.abs(arm2[0]) ** 2
+    p2 = p1 if len(arm2) == 1 else np.abs(arm2[-1]) ** 2
+    edge1, edge2 = _edge_fractions(g, p1), _edge_fractions(g, p2)
+    weight = p2.sum(axis=-1)
+    lit = (edge1 <= EDGE_LEAKAGE_LIMIT) & (weight >= DARK_WEIGHT)
+    density = np.divide(
+        p2, weight[:, None] * g.dx, out=np.zeros_like(p2), where=lit[:, None]
     )
+    if not np.all(np.isfinite(density)):
+        raise GridError("density must be finite and nonnegative")
+    _readonly(density)
+
+    rows = []
+    for i, (x1, e1, e2) in enumerate(zip(positions, edge1.tolist(), edge2.tolist())):
+        if e1 > EDGE_LEAKAGE_LIMIT:
+            rows.append(
+                EdgeLeakageError(
+                    f"conditioned crystal state has edge energy fraction "
+                    f"{e1:.3e} > {EDGE_LEAKAGE_LIMIT:.1e}; enlarge the window "
+                    f"or confine the scenario (grid.extent sets the window)"
+                )
+            )
+        elif not lit[i]:
+            rows.append(
+                DarkConditionalError(
+                    f"dark conditional at x1={x1:g}: the "
+                    f"detected event has numerically zero probability"
+                )
+            )
+        else:
+            a = [_unchecked(Field, grid=g, values=s[i]) for s in arm1]
+            b = [_unchecked(Field, grid=g, values=s[i]) for s in arm2]
+            dist = _unchecked(
+                ConditionalDistribution,
+                grid=g,
+                density=density[i],
+                conditioning_position=x1,
+            )
+            rows.append(
+                RetrodictiveResult(
+                    distribution=dist,
+                    alpha=a[0],
+                    arm1_stages=tuple(a[1:]),
+                    alpha3=a[-1],
+                    beta1=b[0],
+                    arm2_stages=tuple(b[1:]),
+                    beta2=b[-1],
+                    edge_fractions={"beta1": e1, "beta2": e2},
+                )
+            )
+    return rows
 
 
 def run_retrodictive(setup: ImagingSetup) -> RetrodictiveResult:
@@ -179,7 +213,8 @@ def sweep_conditioning(setup: ImagingSetup, positions) -> list[RetrodictiveResul
     itself (an undersampled propagation, an unresolvable detector, an
     ambiguous lens chain) is raised once.  Per-position edge-leakage and
     dark-conditional failures are collected and raised together as
-    :class:`SweepError`.
+    :class:`SweepError`.  The results' fields are read-only views onto
+    one stack per stage (see :class:`RetrodictiveResult`).
     """
     positions = list(positions)
     rows = _run_rows(setup, positions)

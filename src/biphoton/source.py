@@ -8,7 +8,8 @@ here, which is what makes the conjugated transfer function appear in the
 conditioned state.
 
 Two source types share one interface (``grid``, ``values``, ``norm_sq``
-and ``project_arm1``):
+and ``project_arm1``, which takes one arm-1 profile or an (m, n) stack of
+them):
 
 * :class:`BiphotonField` stores a general amplitude as a dense ``n x n``
   matrix; conditioning is an O(n^2) vector-matrix product.
@@ -60,8 +61,18 @@ class BiphotonField:
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.dx**2)
 
     def project_arm1(self, a: np.ndarray) -> np.ndarray:
-        """``dx * sum_i conj(a[i]) * B[i, :]``, by a dense product."""
-        return self.grid.dx * (np.conj(a) @ self.values)
+        """``dx * sum_i conj(a[i]) * B[i, :]``, by a dense product.
+
+        A stack is projected row by row: one vector-matrix product per row
+        gives a row the same bits alone or in a stack, which one batched
+        matrix product would not.
+        """
+        if a.ndim == 1:
+            return self.grid.dx * (np.conj(a) @ self.values)
+        out = np.empty(a.shape, dtype=np.complex128)
+        for i, row in enumerate(a):
+            out[i] = self.project_arm1(row)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +105,7 @@ class DeltaCorrelatedSource:
 
         Bit for bit the dense product when the pump is real (every dropped
         term is an exact zero); equal to rounding for a complex pump.
+        Elementwise, so a stack of rows is projected in one product.
         """
         return self.grid.dx * (np.conj(a) * self.pump)
 

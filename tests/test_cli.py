@@ -18,6 +18,7 @@ from biphoton.cli import (
     run,
     serialize_config,
 )
+from biphoton.retrodict import sweep_conditioning
 
 
 class TestParseConfig:
@@ -160,6 +161,22 @@ class TestBuildSetup:
         with pytest.raises(ConfigError, match=bad_row):
             build_setup(cfg)
 
+    @pytest.mark.parametrize("row", ["nan", "inf", "0.5, -inf", "-nan, 0.0"])
+    def test_mask_table_rejects_non_finite_values(self, tmp_path, capsys, row):
+        path = tmp_path / "mask.csv"
+        path.write_text("0.5\n# comment\n" + row + "\n" + "0.5\n" * 61)
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"grid.n = 64\nmask.kind = table\nmask.file = {path}\n")
+        with pytest.raises(ConfigError) as err:
+            build_setup(parse_config(cfgfile.read_text()))
+        assert str(err.value) == (
+            f"mask.file: non-finite value {row!r} at line 3 of {str(path)!r}"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+        assert "mask.file: non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunEmission:
     def test_single_run_csv(self, tmp_path):
@@ -206,6 +223,77 @@ class TestRunEmission:
         assert names[0] == "alpha"
         assert "beta_1" in names and names[-1] == "beta_2"
         assert len(payload["x"]) == 256
+
+
+def pinned_csv(grid, density) -> str:
+    """CSV text as written one f-string per row."""
+    rows = "".join(f"{float(x)!r},{float(d)!r}\n" for x, d in zip(grid.x, density))
+    return "x2,probability_density\n" + rows
+
+
+def pinned_stages(result) -> str:
+    """stages.json text: json.dumps of the payload, stage by stage."""
+
+    def entry(name, f):
+        return {
+            "name": name,
+            "magnitude": np.abs(f.values).tolist(),
+            "phase": np.angle(f.values).tolist(),
+        }
+
+    stages = [entry("alpha", result.alpha)]
+    stages += [entry(f"alpha_{i}", f) for i, f in enumerate(result.arm1_stages, 1)]
+    stages.append(entry("beta_1", result.beta1))
+    stages += [entry(f"beta_1_{i}", f) for i, f in enumerate(result.arm2_stages, 1)]
+    stages.append(entry("beta_2", result.beta2))
+    payload = {
+        "x": result.beta2.grid.x.tolist(),
+        "stages": stages,
+        "edge_fractions": result.edge_fractions,
+    }
+    return json.dumps(payload)
+
+
+class TestOutputBytes:
+    """Every written byte, against text built row by row from the
+    library's results: a change of number format fails here even where
+    reloading the values would not notice."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # fig3-direct double-slit sweep with stages
+            "grid.n = 256\ndetector.sigma = 0.2\nmask.kind = double-slit\n"
+            "detector.x1 = -0.5, 0.0, 0.5\noutput.stages = true\n",
+            # fourier-2f: arm 2 is not empty, so beta_1_1 is written
+            "scenario = fourier-2f\ngrid.n = 256\nmask.kind = slit\n"
+            "mask.width = 0.8\ndetector.shape = point\noutput.stages = true\n",
+            # densities exactly 0 outside the slits
+            "scenario = custom\ngrid.n = 256\nmask.kind = double-slit\n"
+            "detector.shape = tophat\ndetector.width = 4\n"
+            "detector.x1 = -0.5, 0.0, 0.5\n",
+        ],
+    )
+    def test_files_match_row_by_row_text(self, tmp_path, text):
+        cfg = parse_config(text)
+        setup = build_setup(cfg)
+        results = sweep_conditioning(setup, cfg.detector_x1)
+        written = run(cfg, out_dir=str(tmp_path))
+        sweep = len(results) > 1
+        expected = {}
+        for x1, r in zip(cfg.detector_x1, results):
+            tag = f"_x1_{x1:+.4f}" if sweep else ""
+            expected[f"conditional{tag}.csv"] = pinned_csv(setup.grid, r.distribution.density)
+            if cfg.output_stages:
+                expected[f"stages{tag}.json"] = pinned_stages(r)
+        assert sorted(p.name for p in written) == sorted(expected)
+        for p in written:
+            assert p.read_bytes() == expected[p.name].encode(), p.name
+        stages = [json.loads(t) for n, t in expected.items() if n.endswith(".json")]
+        if cfg.scenario == "fourier-2f":
+            assert "beta_1_1" in [s["name"] for s in stages[0]["stages"]]
+        if cfg.scenario == "custom":
+            assert all(np.count_nonzero(r.distribution.density == 0) > 128 for r in results)
 
 
 class TestMainExitCodes:
@@ -304,6 +392,47 @@ class TestMainExitCodes:
         follow = tmp_path / "d.cfg"
         follow.write_text("f = 10\ngrid.n = 1024\ngrid.extent = 32\n")
         assert main(["run", "--config", str(follow), "--out", str(tmp_path)]) == 0
+
+    def test_position_outside_central_window_names_keys(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("grid.n = 256\ndetector.sigma = 0.2\ndetector.x1 = 7.0\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "central 80%" in err
+        assert "detector.x1" in err and "grid.extent" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "detector, key",
+        [
+            ("detector.sigma = 0.01", "detector.sigma"),
+            ("detector.shape = tophat\ndetector.width = 0.2", "detector.width"),
+        ],
+    )
+    def test_unresolvable_detector_names_keys(self, tmp_path, capsys, detector, key):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"grid.n = 64\n{detector}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "unresolvable" in err and "minimum is 2*dx" in err
+        assert key in err and "grid.n at fixed grid.extent" in err
+        assert not out.exists()
+
+    def test_edge_leakage_names_grid_extent(self, tmp_path, capsys):
+        # a near-window-wide top-hat against a wide pump spot reaches the
+        # window edge
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(
+            "scenario = custom\ngrid.n = 256\nkappa = 8\n"
+            "detector.shape = tophat\ndetector.width = 15\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "edge energy fraction" in err and "grid.extent" in err
+        assert not out.exists()
 
     def test_scenarios_listing(self, capsys):
         assert main(["scenarios"]) == 0

@@ -1,5 +1,7 @@
 """Pipeline behaviour: normalization, symmetry, errors, invariances."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from biphoton import (
     SamplingGuardError,
     SweepError,
     conditional_from_joint,
+    edge_energy_fraction,
     joint_for_setup,
     make_biphoton_delta_correlated,
     make_grid,
@@ -238,3 +241,59 @@ class TestAmbiguousLensChain:
         retro = run_retrodictive(setup).distribution.density
         oracle = conditional_from_joint(joint_for_setup(setup), 0.0).density
         assert np.max(np.abs(retro - oracle)) <= 1e-8
+
+
+def stage_fields(r):
+    return [r.alpha, *r.arm1_stages, r.beta1, *r.arm2_stages, r.beta2]
+
+
+class TestStackedRows:
+    """A sweep keeps each stage as one read-only stack; every row must
+    still read exactly as a result computed on its own."""
+
+    @staticmethod
+    def sweep_setup():
+        g = make_grid(512, 16.0)
+        return replace(fig3_setup(g, double_slit(g)), arm2=(Propagate(0.5, KZ),))
+
+    def test_edge_fractions_equal_per_row_bit_for_bit(self):
+        setup = self.sweep_setup()
+        rows = sweep_conditioning(setup, np.linspace(-2.0, 2.0, 16))
+        assert len(rows) == 16
+        for r in rows:
+            assert r.beta2 is not r.beta1
+            got = {k: v.hex() for k, v in r.edge_fractions.items()}
+            assert got == {
+                "beta1": edge_energy_fraction(r.beta1).hex(),
+                "beta2": edge_energy_fraction(r.beta2).hex(),
+            }
+
+    def test_rows_are_read_only_views(self):
+        rows = sweep_conditioning(self.sweep_setup(), [-0.5, 0.0, 0.5])
+        for r in rows:
+            for f in stage_fields(r):
+                with pytest.raises(ValueError):
+                    f.values[0] = 1.0
+            with pytest.raises(ValueError):
+                r.distribution.density[0] = 1.0
+        # the rows of one stage are views onto one shared stack
+        stack = rows[0].beta1.values.base
+        assert stack is not None and stack.shape == (3, 512)
+        assert all(r.beta1.values.base is stack for r in rows)
+
+    def test_dense_source_conditions_per_row_bit_equal_to_single_runs(self, grid16):
+        positions = [-1.0, -0.25, 0.0, 0.5, 1.0]
+        setup = TestNonDiagonalSource.low_rank_setup(grid16, 0.0)
+        rows = sweep_conditioning(setup, positions)
+        for x1, row in zip(positions, rows):
+            single = run_retrodictive(
+                replace(setup, detector1=replace(setup.detector1, center=x1))
+            )
+            for a, b in zip(stage_fields(row), stage_fields(single), strict=True):
+                assert a.values.tobytes() == b.values.tobytes()
+            assert (
+                row.distribution.density.tobytes()
+                == single.distribution.density.tobytes()
+            )
+            assert row.edge_fractions == single.edge_fractions
+            assert row.distribution.conditioning_position == x1
