@@ -281,6 +281,19 @@ def build_setup(cfg: ScenarioConfig, x1: float | None = None) -> ImagingSetup:
         arm1 = mask
         arm2 = ()
 
+    # the config's kappa is the pump spot width, the library's 1/kappa; its
+    # bounds are checked here so that the errors name the key the user set
+    if cfg.kappa < 2 * g.dx - 1e-12:
+        raise ConfigError(
+            f"pump spot width kappa = {cfg.kappa:g} unresolvable: minimum is "
+            f"2*dx = {2 * g.dx:g}; raise kappa, or raise grid.n at fixed "
+            f"grid.extent"
+        )
+    if cfg.kappa > g.extent / 2 + 1e-12:
+        raise ConfigError(
+            f"pump spot width kappa = {cfg.kappa:g} exceeds the window: maximum "
+            f"is extent/2 = {g.extent / 2:g}; lower kappa, or raise grid.extent"
+        )
     source = make_biphoton_delta_correlated(g, kappa=1.0 / cfg.kappa)
     det = DetectorProfile(
         cfg.detector_shape,

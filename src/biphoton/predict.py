@@ -7,17 +7,24 @@ every grid position to form the joint density P(x1, x2), and condition by
 row normalization.  It is deliberately assumption-free (dense tables,
 nearest-row conditioning) and serves as the independent ground truth for
 the detection-first pipeline.
+
+Its O(n^3) coincidence matmul runs as row blocks on every CPU in the
+process's affinity (``os.sched_getaffinity``): the calling thread takes
+one block and a thread pool made per call the others.  Grids below
+n = 512 stay one block.  The joint is bit-identical for any CPU count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elements import DetectorProfile, Mask, _detector_rows, compile_chain
 from .errors import DarkConditionalError, GridError
-from .grid import Field, TransverseGrid, _readonly
+from .grid import Field, TransverseGrid, _readonly, _unchecked
 from .retrodict import DARK_WEIGHT, ConditionalDistribution, ImagingSetup
 from .source import BiphotonField, DeltaCorrelatedSource
 
@@ -43,12 +50,67 @@ class JointDistribution:
 
     def __post_init__(self):
         d = np.array(self.density, dtype=np.float64, copy=True)
-        n = self.grid.n
-        if d.shape != (n, n):
-            raise GridError(f"density must have shape ({n}, {n})")
-        if np.any(d < 0) or not np.all(np.isfinite(d)):
-            raise GridError("density must be finite and nonnegative")
-        object.__setattr__(self, "density", _readonly(d))
+        object.__setattr__(self, "density", _checked_density(self.grid, d))
+
+    @classmethod
+    def _owning(
+        cls, grid: TransverseGrid, density: np.ndarray, detector1: DetectorProfile
+    ) -> JointDistribution:
+        """A joint that takes over ``density``, a fresh float64 array no one
+        else holds: checked once as the constructor checks, and not copied."""
+        d = _checked_density(grid, density)
+        return _unchecked(cls, grid=grid, density=d, detector1=detector1)
+
+
+def _checked_density(g: TransverseGrid, d: np.ndarray) -> np.ndarray:
+    """``d`` made read-only, once it is known to be a finite, nonnegative
+    ``n x n`` table."""
+    n = g.n
+    if d.shape != (n, n):
+        raise GridError(f"density must have shape ({n}, {n})")
+    if np.any(d < 0) or not np.all(np.isfinite(d)):
+        raise GridError("density must be finite and nonnegative")
+    return _readonly(d)
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """``np.ascontiguousarray(a.T)``, the same bytes, copied tile by tile.
+
+    A 64 x 64 complex tile and its image both stay in cache, which halves
+    the cost of the strided whole-matrix copy at n = 2048.
+    """
+    t = 64
+    out = np.empty(a.shape[::-1], dtype=a.dtype)
+    for i in range(0, a.shape[1], t):
+        for j in range(0, a.shape[0], t):
+            out[i : i + t, j : j + t] = a[j : j + t, i : i + t].T
+    return out
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# At least 2: a one-row product goes to the matrix-vector routine, which
+# rounds differently from the matrix product.
+_MIN_BLOCK_ROWS = 256
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Row blocks of the n-row coincidence product: one per CPU, each of at
+    least ``_MIN_BLOCK_ROWS`` rows, so grids below n = 512 stay one block.
+
+    A smaller block finishes before a fresh thread repays its start (its
+    first BLAS call costs a few milliseconds more than later ones): at
+    n = 256 two blocks took longer than one.
+    """
+    k = max(1, min(_cpus(), n // _MIN_BLOCK_ROWS))
+    edges = [n * i // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def evolve_joint(
@@ -58,19 +120,20 @@ def evolve_joint(
 
     ``arm1`` and ``arm2`` are element sequences in physical order; arm-1
     elements act along the first index, arm-2 elements along the second.
-    Compiled ops act on the last axis of a row stack, so arm 1 runs on the
-    transposed matrix (its columns as rows) and arm 2 on the result
+    Compiled ops act on the last axis of a row stack, so arm 1 runs on a
+    C-contiguous transposed copy (its columns as contiguous rows, which
+    the FFTs read twice as fast as strided ones) and arm 2 on the result
     transposed back.  The two arms commute.  This is the one place that
     needs the source as a dense ``n x n`` matrix.
     """
     g = B.grid
-    v = B.values.T
+    v = _transposed(B.values)
     for op in compile_chain(arm1):
         v = op.forward(v, g)
-    v = v.T
+    v = _transposed(v)
     for op in compile_chain(arm2):
         v = op.forward(v, g)
-    return BiphotonField(g, v)
+    return BiphotonField._owning(g, v)
 
 
 def joint_distribution(Psi: BiphotonField, detector1: DetectorProfile) -> JointDistribution:
@@ -79,16 +142,33 @@ def joint_distribution(Psi: BiphotonField, detector1: DetectorProfile) -> JointD
     For each arm-1 centre x1 on the grid, the coincidence amplitude is
     ``A(x1, x2) = dx * sum_x conj(a_x1(x)) Psi(x, x2)``; arm-2 detection is
     pointwise.  The squared modulus is normalized over both coordinates.
+
+    The O(n^3) product runs as row blocks of ``A`` (:func:`_row_blocks`),
+    each one matrix product into its slice of ``A``: the calling thread
+    takes the first block and a thread pool the rest.  The BLAS computes a
+    row of a product by the same operations whichever rows share its call,
+    so the bits do not depend on the CPU count (``tests/test_predict.py``
+    pins this).  The pool lives for one call only; a pool kept at module
+    level would have no threads in a forked child.
     """
-    g = Psi.grid
+    g, psi = Psi.grid, Psi.values
     bank = _detector_rows(detector1, g, g.x)
-    A = g.dx * (np.conj(bank) @ Psi.values)
-    dens = np.abs(A) ** 2
+    np.conj(bank, out=bank)
+    A = np.empty_like(bank)
+    first, *rest = _row_blocks(g.n)
+    with ThreadPoolExecutor(max(1, len(rest))) as pool:
+        done = [pool.submit(np.matmul, bank[s], psi, out=A[s]) for s in rest]
+        np.matmul(bank[first], psi, out=A[first])
+        for f in done:
+            f.result()
+    A *= g.dx
+    dens = np.abs(A)
+    dens **= 2
     total = float(dens.sum())
     if total < DARK_WEIGHT:
         raise DarkConditionalError("joint distribution carries no weight")
     dens /= total * g.dx**2
-    return JointDistribution(g, dens, detector1)
+    return JointDistribution._owning(g, dens, detector1)
 
 
 def conditional_from_joint(J: JointDistribution, x1: float) -> ConditionalDistribution:

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridError
-from .grid import Field, TransverseGrid, _readonly
+from .grid import Field, TransverseGrid, _readonly, _unchecked
 
 __all__ = [
     "BiphotonField",
@@ -48,12 +48,14 @@ class BiphotonField:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.complex128, order="C", copy=True)
-        n = self.grid.n
-        if v.shape != (n, n):
-            raise GridError(f"values must have shape ({n}, {n}), got {v.shape}")
-        if not np.all(np.isfinite(v.view(np.float64))):
-            raise GridError("biphoton values must be finite")
-        object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "values", _checked_values(self.grid, v))
+
+    @classmethod
+    def _owning(cls, grid: TransverseGrid, values: np.ndarray) -> BiphotonField:
+        """A field that takes over ``values``, a fresh array no one else
+        holds: checked once as the constructor checks, and not copied."""
+        v = _checked_values(grid, np.ascontiguousarray(values, dtype=np.complex128))
+        return _unchecked(cls, grid=grid, values=v)
 
     @property
     def norm_sq(self) -> float:
@@ -108,6 +110,16 @@ class DeltaCorrelatedSource:
         Elementwise, so a stack of rows is projected in one product.
         """
         return self.grid.dx * (np.conj(a) * self.pump)
+
+
+def _checked_values(g: TransverseGrid, v: np.ndarray) -> np.ndarray:
+    """``v`` made read-only, once it is known to be a finite ``n x n`` matrix."""
+    n = g.n
+    if v.shape != (n, n):
+        raise GridError(f"values must have shape ({n}, {n}), got {v.shape}")
+    if not np.all(np.isfinite(v.view(np.float64))):
+        raise GridError("biphoton values must be finite")
+    return _readonly(v)
 
 
 def make_biphoton_delta_correlated(

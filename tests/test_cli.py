@@ -420,6 +420,28 @@ class TestMainExitCodes:
         assert key in err and "grid.n at fixed grid.extent" in err
         assert not out.exists()
 
+    def test_unresolvable_pump_names_kappa(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("grid.n = 64\ndetector.sigma = 0.6\nkappa = 0.1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "kappa = 0.1 unresolvable" in err and "minimum is 2*dx = 0.5" in err
+        assert "raise kappa, or raise grid.n at fixed grid.extent" in err
+        assert "1/kappa" not in err
+        assert not out.exists()
+
+    def test_pump_wider_than_window_names_kappa(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("grid.n = 64\ndetector.sigma = 0.6\nkappa = 20\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "kappa = 20 exceeds the window" in err and "extent/2 = 8" in err
+        assert "lower kappa, or raise grid.extent" in err
+        assert "1/kappa" not in err
+        assert not out.exists()
+
     def test_edge_leakage_names_grid_extent(self, tmp_path, capsys):
         # a near-window-wide top-hat against a wide pump spot reaches the
         # window edge

@@ -1,5 +1,7 @@
 """Forward oracle: joint evolution, Bayes conditioning, marginals."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from biphoton import (
     mutual_information_bits,
     run_retrodictive,
 )
-from biphoton.elements import apply_chain_forward
+from biphoton import predict
+from biphoton.elements import _detector_rows, apply_chain_forward
 from conftest import random_field
 
 F, KZ = 2.0, 50.0
@@ -116,6 +119,99 @@ class TestJointDistribution:
         B = random_biphoton(small_grid, rng)
         J = joint_distribution(B, DetectorProfile("gaussian", sigma=0.6))
         assert abs(J.density.sum() * small_grid.dx**2 - 1.0) <= 1e-10
+
+
+DETECTORS = {
+    "gaussian": DetectorProfile("gaussian", sigma=0.6),
+    "tophat": DetectorProfile("tophat", width=0.7),
+    "point": DetectorProfile("point"),
+}
+
+
+def _joint_to_file(setup, path):
+    path.write_bytes(joint_for_setup(setup).density.tobytes())
+
+
+def _affinity(monkeypatch, cpus):
+    monkeypatch.setattr(
+        predict.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+
+
+class TestBlockedMatmul:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5, 64])
+    @pytest.mark.parametrize("detector", sorted(DETECTORS))
+    @pytest.mark.parametrize("source", ["dense", "delta"])
+    def test_bits_equal_the_serial_product(
+        self, small_grid, rng, monkeypatch, cpus, detector, source
+    ):
+        # blocks down to two rows: 64 rows split unevenly into 3 or 5
+        # blocks, and 64 CPUs get 32 blocks
+        g = small_grid
+        if source == "dense":
+            Psi = random_biphoton(g, rng)
+        else:
+            Psi = make_biphoton_delta_correlated(g, kappa=0.5)
+        det = DETECTORS[detector]
+        _affinity(monkeypatch, cpus)
+        monkeypatch.setattr(predict, "_MIN_BLOCK_ROWS", 2)
+        seen = []
+        blocks = predict._row_blocks
+        monkeypatch.setattr(
+            predict, "_row_blocks", lambda n: seen.append(blocks(n)) or seen[-1]
+        )
+        A = g.dx * (np.conj(_detector_rows(det, g, g.x)) @ Psi.values)
+        dens = np.abs(A) ** 2
+        dens /= float(dens.sum()) * g.dx**2
+        J = joint_distribution(Psi, det)
+        assert [len(b) for b in seen] == [min(cpus, g.n // 2)]
+        assert J.density.tobytes() == dens.tobytes()
+
+    @pytest.mark.parametrize(
+        "cpus, n, sizes",
+        [
+            (5, 256, [256]),
+            (5, 512, [256, 256]),
+            (5, 2048, [409, 410, 409, 410, 410]),
+            (1, 2048, [2048]),
+        ],
+    )
+    def test_row_blocks_tile_the_rows(self, monkeypatch, cpus, n, sizes):
+        # one block per CPU, none under 256 rows
+        _affinity(monkeypatch, cpus)
+        blocks = predict._row_blocks(n)
+        assert [s.stop - s.start for s in blocks] == sizes
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+
+    def test_oracle_runs_in_a_forked_child(self, tmp_path, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        # two blocks, so that the child's product goes through a pool
+        _affinity(monkeypatch, 2)
+        monkeypatch.setattr(predict, "_MIN_BLOCK_ROWS", 2)
+        g = make_grid(256, 16.0)
+        setup = ImagingSetup(
+            grid=g,
+            arm1=(Propagate(F, KZ), FourierLens()),
+            arm2=(),
+            source=make_biphoton_delta_correlated(g, kappa=0.25),
+            detector1=DetectorProfile("gaussian", sigma=0.2),
+        )
+        here = joint_for_setup(setup).density.tobytes()
+        path = tmp_path / "joint.bin"
+        child = multiprocessing.get_context("fork").Process(
+            target=_joint_to_file, args=(setup, path)
+        )
+        child.start()
+        child.join(timeout=60)
+        try:
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert path.read_bytes() == here
 
 
 class TestConditionalAndMarginal:
