@@ -260,7 +260,7 @@ def _mask_values(cfg: ScenarioConfig, g) -> np.ndarray | None:
     return t
 
 
-def build_setup(cfg: ScenarioConfig, x1: float | None = None) -> ImagingSetup:
+def build_setup(cfg: ScenarioConfig) -> ImagingSetup:
     """Materialize a configuration into a runnable imaging setup."""
     g = make_grid(cfg.n, cfg.extent)
     tvals = _mask_values(cfg, g)
@@ -297,7 +297,7 @@ def build_setup(cfg: ScenarioConfig, x1: float | None = None) -> ImagingSetup:
     source = make_biphoton_delta_correlated(g, kappa=1.0 / cfg.kappa)
     det = DetectorProfile(
         cfg.detector_shape,
-        center=float(cfg.detector_x1[0] if x1 is None else x1),
+        center=float(cfg.detector_x1[0]),
         sigma=cfg.detector_sigma if cfg.detector_shape == "gaussian" else None,
         width=cfg.detector_width if cfg.detector_shape == "tophat" else None,
     )

@@ -157,23 +157,18 @@ def materialize_detector(d: DetectorProfile, g: TransverseGrid) -> Field:
 def _detector_rows(d: DetectorProfile, g: TransverseGrid, centres) -> np.ndarray:
     """Row ``i``: :func:`materialize_detector` of ``d`` moved to ``centres[i]``."""
     c = np.asarray(centres, dtype=np.float64).reshape(-1, 1)
+    name = {"gaussian": "sigma", "tophat": "width"}.get(d.shape)
+    if name is not None and getattr(d, name) < 2 * g.dx:
+        raise ValueError(
+            f"{d.shape} detector {name}={getattr(d, name):g} unresolvable: "
+            f"minimum is 2*dx = {2 * g.dx:g}; raise detector.{name}, or "
+            f"grid.n at fixed grid.extent"
+        )
     if d.shape == "gaussian":
-        if d.sigma < 2 * g.dx:
-            raise ValueError(
-                f"gaussian detector sigma={d.sigma:g} unresolvable: "
-                f"minimum is 2*dx = {2 * g.dx:g}; raise detector.sigma, or "
-                f"grid.n at fixed grid.extent"
-            )
         v = (1.0 / (np.pi * d.sigma**2)) ** 0.25 * np.exp(
             -((g.x - c) ** 2) / (2.0 * d.sigma**2)
         )
     elif d.shape == "tophat":
-        if d.width < 2 * g.dx:
-            raise ValueError(
-                f"tophat detector width={d.width:g} unresolvable: "
-                f"minimum is 2*dx = {2 * g.dx:g}; raise detector.width, or "
-                f"grid.n at fixed grid.extent"
-            )
         v = (np.abs(g.x - c) < d.width / 2.0).astype(float)
         if not np.all(np.any(v, axis=1)):
             raise ValueError("tophat detector covers no grid point")

@@ -48,11 +48,33 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen(a: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """``a`` made read-only, once it is known to have ``shape`` and finite
+    values; a real ``a`` is a density, whose values must also be
+    nonnegative.  Raises :class:`GridError` naming ``what``.
+
+    The one check of a value's array.  A value's constructor copies its
+    argument to its dtype and calls this; an array the package made itself
+    calls it and is then held through :func:`_unchecked`.  A complex ``a``
+    must be C-contiguous.
+    """
+    if a.shape != shape:
+        raise GridError(f"{what} must have shape {shape}, got {a.shape}")
+    if a.dtype.kind == "f":
+        if np.any(a < 0) or not np.all(np.isfinite(a)):
+            raise GridError(f"{what} must be finite and nonnegative")
+    elif not np.all(np.isfinite(a.view(np.float64))):
+        raise GridError(f"{what} must be finite")
+    return _readonly(a)
+
+
 def _unchecked(cls, **fields):
     """An instance of frozen dataclass ``cls`` holding ``fields`` as given.
 
-    Skips ``__post_init__``: no copy and no validation.  For read-only rows
-    of a stack that its owner has already checked once.
+    Skips ``__post_init__``: the one constructor that neither copies nor
+    checks.  For arrays the package made itself and has already passed
+    through :func:`_frozen`: the oracle's evolved amplitude and joint, and
+    the rows of a sweep's stacks.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -124,13 +146,7 @@ class Field:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.complex128, copy=True)
-        if v.shape != (self.grid.n,):
-            raise GridError(
-                f"values must have shape ({self.grid.n},), got {v.shape}"
-            )
-        if not np.all(np.isfinite(v.view(np.float64))):
-            raise GridError("field values must be finite")
-        object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "values", _frozen(v, (self.grid.n,), "field values"))
 
     @property
     def norm_sq(self) -> float:

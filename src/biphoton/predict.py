@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import DetectorProfile, Mask, _detector_rows, compile_chain
-from .errors import DarkConditionalError, GridError
-from .grid import Field, TransverseGrid, _readonly, _unchecked
+from .errors import DarkConditionalError
+from .grid import Field, TransverseGrid, _frozen, _unchecked
 from .retrodict import DARK_WEIGHT, ConditionalDistribution, ImagingSetup
 from .source import BiphotonField, DeltaCorrelatedSource
 
@@ -49,28 +49,9 @@ class JointDistribution:
     detector1: DetectorProfile
 
     def __post_init__(self):
+        n = self.grid.n
         d = np.array(self.density, dtype=np.float64, copy=True)
-        object.__setattr__(self, "density", _checked_density(self.grid, d))
-
-    @classmethod
-    def _owning(
-        cls, grid: TransverseGrid, density: np.ndarray, detector1: DetectorProfile
-    ) -> JointDistribution:
-        """A joint that takes over ``density``, a fresh float64 array no one
-        else holds: checked once as the constructor checks, and not copied."""
-        d = _checked_density(grid, density)
-        return _unchecked(cls, grid=grid, density=d, detector1=detector1)
-
-
-def _checked_density(g: TransverseGrid, d: np.ndarray) -> np.ndarray:
-    """``d`` made read-only, once it is known to be a finite, nonnegative
-    ``n x n`` table."""
-    n = g.n
-    if d.shape != (n, n):
-        raise GridError(f"density must have shape ({n}, {n})")
-    if np.any(d < 0) or not np.all(np.isfinite(d)):
-        raise GridError("density must be finite and nonnegative")
-    return _readonly(d)
+        object.__setattr__(self, "density", _frozen(d, (n, n), "density"))
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
@@ -133,7 +114,8 @@ def evolve_joint(
     v = _transposed(v)
     for op in compile_chain(arm2):
         v = op.forward(v, g)
-    return BiphotonField._owning(g, v)
+    v = _frozen(np.ascontiguousarray(v), (g.n, g.n), "biphoton values")
+    return _unchecked(BiphotonField, grid=g, values=v)
 
 
 def joint_distribution(Psi: BiphotonField, detector1: DetectorProfile) -> JointDistribution:
@@ -168,7 +150,8 @@ def joint_distribution(Psi: BiphotonField, detector1: DetectorProfile) -> JointD
     if total < DARK_WEIGHT:
         raise DarkConditionalError("joint distribution carries no weight")
     dens /= total * g.dx**2
-    return JointDistribution._owning(g, dens, detector1)
+    dens = _frozen(dens, (g.n, g.n), "density")
+    return _unchecked(JointDistribution, grid=g, density=dens, detector1=detector1)
 
 
 def conditional_from_joint(J: JointDistribution, x1: float) -> ConditionalDistribution:

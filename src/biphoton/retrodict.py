@@ -15,7 +15,7 @@ import numpy as np
 
 from .elements import DetectorProfile, _detector_rows, compile_chain
 from .errors import DarkConditionalError, EdgeLeakageError, GridError, SweepError
-from .grid import Field, TransverseGrid, _edge_fractions, _readonly, _unchecked
+from .grid import Field, TransverseGrid, _edge_fractions, _frozen, _unchecked
 from .source import BiphotonField, DeltaCorrelatedSource
 
 __all__ = [
@@ -67,11 +67,7 @@ class ConditionalDistribution:
 
     def __post_init__(self):
         d = np.array(self.density, dtype=np.float64, copy=True)
-        if d.shape != (self.grid.n,):
-            raise GridError("density shape does not match the grid")
-        if np.any(d < 0) or not np.all(np.isfinite(d)):
-            raise GridError("density must be finite and nonnegative")
-        object.__setattr__(self, "density", _readonly(d))
+        object.__setattr__(self, "density", _frozen(d, (self.grid.n,), "density"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,12 +107,9 @@ def _central80(g: TransverseGrid, position: float) -> None:
         )
 
 
-def _stack(a: np.ndarray) -> np.ndarray:
+def _stack(a: np.ndarray, shape: tuple) -> np.ndarray:
     """One stage as a C-contiguous, read-only (m, n) stack, checked once."""
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    if not np.all(np.isfinite(a.view(np.float64))):
-        raise GridError("field values must be finite")
-    return _readonly(a)
+    return _frozen(np.ascontiguousarray(a, dtype=np.complex128), shape, "field values")
 
 
 def _run_rows(setup: ImagingSetup, positions: list) -> list:
@@ -130,12 +123,13 @@ def _run_rows(setup: ImagingSetup, positions: list) -> list:
     g = setup.grid
     for p in positions:
         _central80(g, p)
-    arm1 = [_stack(_detector_rows(setup.detector1, g, positions))]
+    shape = (len(positions), g.n)
+    arm1 = [_stack(_detector_rows(setup.detector1, g, positions), shape)]
     for op in compile_chain(setup.arm1):
-        arm1.append(_stack(op.backward(arm1[-1], g)))
-    arm2 = [_stack(setup.source.project_arm1(arm1[-1]))]
+        arm1.append(_stack(op.backward(arm1[-1], g), shape))
+    arm2 = [_stack(setup.source.project_arm1(arm1[-1]), shape)]
     for op in compile_chain(setup.arm2):
-        arm2.append(_stack(op.forward(arm2[-1], g)))
+        arm2.append(_stack(op.forward(arm2[-1], g), shape))
     p1 = np.abs(arm2[0]) ** 2
     p2 = p1 if len(arm2) == 1 else np.abs(arm2[-1]) ** 2
     edge1, edge2 = _edge_fractions(g, p1), _edge_fractions(g, p2)
@@ -144,9 +138,7 @@ def _run_rows(setup: ImagingSetup, positions: list) -> list:
     density = np.divide(
         p2, weight[:, None] * g.dx, out=np.zeros_like(p2), where=lit[:, None]
     )
-    if not np.all(np.isfinite(density)):
-        raise GridError("density must be finite and nonnegative")
-    _readonly(density)
+    _frozen(density, shape, "density")
 
     rows = []
     for i, (x1, e1, e2) in enumerate(zip(positions, edge1.tolist(), edge2.tolist())):

@@ -16,20 +16,19 @@ them):
 * :class:`DeltaCorrelatedSource` stores only the pump profile on the
   diagonal, so building and conditioning are O(n): the conditioned state
   is the pump times the conjugated, back-propagated detector profile.
-  Its dense matrix is built on first access to ``values`` and cached;
-  only the forward oracle (:func:`biphoton.predict.evolve_joint`) asks
-  for it.
+  Its dense matrix is built anew on each read of ``values`` and not
+  kept: the source holds O(n) for as long as it lives.  Only the forward
+  oracle (:func:`biphoton.predict.evolve_joint`) reads it, once a call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import GridError
-from .grid import Field, TransverseGrid, _readonly, _unchecked
+from .grid import Field, TransverseGrid, _frozen, _readonly
 
 __all__ = [
     "BiphotonField",
@@ -47,15 +46,9 @@ class BiphotonField:
     values: np.ndarray
 
     def __post_init__(self):
+        n = self.grid.n
         v = np.array(self.values, dtype=np.complex128, order="C", copy=True)
-        object.__setattr__(self, "values", _checked_values(self.grid, v))
-
-    @classmethod
-    def _owning(cls, grid: TransverseGrid, values: np.ndarray) -> BiphotonField:
-        """A field that takes over ``values``, a fresh array no one else
-        holds: checked once as the constructor checks, and not copied."""
-        v = _checked_values(grid, np.ascontiguousarray(values, dtype=np.complex128))
-        return _unchecked(cls, grid=grid, values=v)
+        object.__setattr__(self, "values", _frozen(v, (n, n), "biphoton values"))
 
     @property
     def norm_sq(self) -> float:
@@ -86,15 +79,12 @@ class DeltaCorrelatedSource:
 
     def __post_init__(self):
         p = np.array(self.pump, dtype=np.complex128, copy=True)
-        if p.shape != (self.grid.n,):
-            raise GridError(f"pump must have shape ({self.grid.n},), got {p.shape}")
-        if not np.all(np.isfinite(p.view(np.float64))):
-            raise GridError("pump values must be finite")
-        object.__setattr__(self, "pump", _readonly(p))
+        object.__setattr__(self, "pump", _frozen(p, (self.grid.n,), "pump"))
 
-    @cached_property
+    @property
     def values(self) -> np.ndarray:
-        """Dense ``n x n`` amplitude (read-only), built once on first use."""
+        """Dense ``n x n`` amplitude (read-only), built anew on each read
+        (16 n^2 bytes, 1 GiB at n = 8192) and not kept."""
         return _readonly(np.diag(self.pump))
 
     @property
@@ -110,16 +100,6 @@ class DeltaCorrelatedSource:
         Elementwise, so a stack of rows is projected in one product.
         """
         return self.grid.dx * (np.conj(a) * self.pump)
-
-
-def _checked_values(g: TransverseGrid, v: np.ndarray) -> np.ndarray:
-    """``v`` made read-only, once it is known to be a finite ``n x n`` matrix."""
-    n = g.n
-    if v.shape != (n, n):
-        raise GridError(f"values must have shape ({n}, {n}), got {v.shape}")
-    if not np.all(np.isfinite(v.view(np.float64))):
-        raise GridError("biphoton values must be finite")
-    return _readonly(v)
 
 
 def make_biphoton_delta_correlated(

@@ -6,9 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton import (
+    BiphotonField,
+    ConditionalDistribution,
+    DeltaCorrelatedSource,
+    DetectorProfile,
     Field,
     GridError,
+    JointDistribution,
     convolve,
+    evolve_joint,
+    joint_distribution,
+    sweep_conditioning,
     dft,
     edge_energy_fraction,
     idft,
@@ -17,6 +25,8 @@ from biphoton import (
     scaled_idft,
     spectrum,
 )
+from biphoton.cli import build_setup, parse_config
+from biphoton.predict import forward_arm1_chain
 from conftest import random_field
 
 
@@ -208,3 +218,59 @@ class TestPurityAndEdges:
         flat = np.ones(g.n)
         frac = edge_energy_fraction(Field(g, flat))
         assert 0.08 <= frac <= 0.12
+
+
+# Every value on a grid takes its array by one rule: a checked, read-only
+# copy.  Each entry: constructor, array attribute, rank, is a density.
+VALUE_TYPES = {
+    "Field": (Field, "values", 1, False),
+    "ConditionalDistribution": (
+        lambda g, a: ConditionalDistribution(g, a, 0.0), "density", 1, True
+    ),
+    "JointDistribution": (
+        lambda g, a: JointDistribution(g, a, DetectorProfile("point")),
+        "density",
+        2,
+        True,
+    ),
+    "BiphotonField": (BiphotonField, "values", 2, False),
+    "DeltaCorrelatedSource": (DeltaCorrelatedSource, "pump", 1, False),
+}
+
+
+@pytest.mark.parametrize("kind", list(VALUE_TYPES))
+def test_value_holds_a_checked_read_only_copy(kind, small_grid):
+    make, attr, rank, density = VALUE_TYPES[kind]
+    n = small_grid.n
+    good = np.full((n,) * rank, 0.5, dtype=np.float64 if density else np.complex128)
+    with pytest.raises(GridError):
+        make(small_grid, np.full((n + 1,) * rank, 0.5))
+    bad_values = [-0.5, np.nan, np.inf] if density else [
+        complex(0.5, np.nan),
+        complex(np.inf, 0.0),
+    ]
+    for bad in bad_values:
+        a = good.copy()
+        a.flat[3] = bad
+        with pytest.raises(GridError):
+            make(small_grid, a)
+    value = make(small_grid, good)
+    held = getattr(value, attr)
+    assert not held.flags.writeable
+    with pytest.raises(ValueError):
+        held.flat[0] = 1.0
+    good[...] = 2.0
+    assert np.all(getattr(value, attr) == 0.5)
+
+
+def test_package_made_arrays_are_read_only():
+    setup = build_setup(parse_config("grid.n = 256\ndetector.sigma = 0.2\n"))
+    Psi = evolve_joint(setup.source, forward_arm1_chain(setup.arm1), setup.arm2)
+    J = joint_distribution(Psi, setup.detector1)
+    rows = sweep_conditioning(setup, [-0.5, 0.0, 0.5])
+    arrays = [Psi.values, J.density]
+    for r in rows:
+        stages = (r.alpha, *r.arm1_stages, r.beta1, *r.arm2_stages)
+        arrays += [f.values for f in stages] + [r.distribution.density]
+    arrays += [a.base for a in arrays[2:]]  # the sweep's stacks themselves
+    assert all(a is not None and not a.flags.writeable for a in arrays)

@@ -11,6 +11,7 @@ from biphoton import (
     Field,
     GridError,
     condition,
+    joint_for_setup,
     make_biphoton_delta_correlated,
     make_grid,
     run_retrodictive,
@@ -186,7 +187,8 @@ class TestDeltaCorrelatedStorage:
             v[0, 0] = 1.0
         assert v.tobytes() == np.diag(pump.astype(np.complex128)).tobytes()
         assert np.count_nonzero(v) == np.count_nonzero(pump)
-        assert B.values is v  # built once, then cached
+        again = B.values  # built anew on each read, not kept
+        assert again.tobytes() == v.tobytes() and not again.flags.writeable
 
     def test_made_source_values_match_dense_construction(self, grid16):
         kappa = 1.0
@@ -237,6 +239,20 @@ class TestDeltaCorrelatedStorage:
             tracemalloc.stop()
         assert peak < 32 * 2**20
         assert abs(res.distribution.density.sum() * setup.grid.dx - 1.0) <= 1e-12
+
+    def test_oracle_leaves_no_dense_matrix_behind(self):
+        # the oracle reads the n x n matrix once; the source must not keep
+        # it (16 n^2 bytes, 1 GiB at n = 8192) for as long as it lives
+        n = 1024
+        setup = build_setup(parse_config(f"grid.n = {n}\n"))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            joint_for_setup(setup)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 0.1 * 16 * n**2
 
 
 class TestBiphotonFieldLayout:
