@@ -35,7 +35,9 @@ Conventions
   ``op.backward(v, g)`` and acts on the last axis of ``v``: one sample
   vector of shape ``(n,)`` or an ``(m, n)`` stack of rows, each row
   transformed on its own.  A caller that holds its vectors as columns
-  transposes first (the forward oracle does this for arm 1).
+  transposes first (the forward oracle does this for arm 1).  A ``Mask``
+  or a ``QuadraticPhase`` is its own op; only propagations and lenses,
+  whose action depends on a neighbour, compile to separate op objects.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .errors import GridError, SamplingGuardError
 from .grid import Field, TransverseGrid, _dft_values, _idft_values
 
 __all__ = [
-    "Element",
     "Propagate",
     "FourierLens",
     "QuadraticPhase",
@@ -63,14 +64,8 @@ __all__ = [
 ]
 
 
-class Element:
-    """Marker base class for optical elements."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
-class Propagate(Element):
+class Propagate:
     """Free propagation over a distance ``z`` at axial wavevector ``k_z``."""
 
     z: float
@@ -89,12 +84,12 @@ class Propagate(Element):
 
 
 @dataclass(frozen=True)
-class FourierLens(Element):
+class FourierLens:
     """Ideal lens in a focal-plane arrangement: exact Fourier transformer."""
 
 
 @dataclass(frozen=True)
-class QuadraticPhase(Element):
+class QuadraticPhase:
     """Thin-lens phase factor ``exp(-1j * k_z * x**2 / (2*f))``."""
 
     f: float
@@ -106,9 +101,18 @@ class QuadraticPhase(Element):
         if not np.isfinite(self.k_z) or self.k_z <= 0:
             raise ValueError("k_z must be positive and finite")
 
+    def _chirp(self, g: TransverseGrid):
+        return np.exp(-1j * self.k_z * g.x**2 / (2.0 * self.f))
+
+    def forward(self, v, g: TransverseGrid):
+        return self._chirp(g) * v
+
+    def backward(self, v, g: TransverseGrid):
+        return np.conj(self._chirp(g)) * v
+
 
 @dataclass(frozen=True, eq=False)
-class Mask(Element):
+class Mask:
     """Complex transfer function ``t(x)`` with ``|t| <= 1`` everywhere."""
 
     t: Field
@@ -116,6 +120,15 @@ class Mask(Element):
     def __post_init__(self):
         if np.max(np.abs(self.t.values)) > 1.0 + 1e-12:
             raise ValueError("mask transfer function must satisfy |t| <= 1")
+
+    def forward(self, v, g: TransverseGrid):
+        if self.t.grid != g:
+            raise GridError("mask is sampled on a different grid")
+        return self.t.values * v
+
+    # deliberately not conjugated: the conditioning step conjugates the
+    # whole arm profile once
+    backward = forward
 
 
 @dataclass(frozen=True)
@@ -195,8 +208,6 @@ def _guard_propagation(e: Propagate, g: TransverseGrid) -> None:
     with the ``grid.extent`` that keeps the spacing.
     """
     zp = abs(e.phase_distance())
-    if zp == 0.0:
-        return
     k_max = np.pi / g.dx
     q = k_max**2 * zp / (e.k_z * g.n)
     if q >= np.pi:
@@ -249,38 +260,10 @@ class _LensOp:
         return np.fft.fftshift(_dft_values(v), axes=-1)
 
 
-class _QuadraticPhaseOp:
-    def __init__(self, element: QuadraticPhase):
-        self.element = element
-
-    def _chirp(self, g: TransverseGrid):
-        e = self.element
-        return np.exp(-1j * e.k_z * g.x**2 / (2.0 * e.f))
-
-    def forward(self, v, g):
-        return self._chirp(g) * v
-
-    def backward(self, v, g):
-        return np.conj(self._chirp(g)) * v
-
-
-class _MaskOp:
-    """Transfer function; backward is deliberately not conjugated."""
-
-    def __init__(self, element: Mask):
-        self.element = element
-
-    def forward(self, v, g):
-        if self.element.t.grid != g:
-            raise GridError("mask is sampled on a different grid")
-        return self.element.t.values * v
-
-    backward = forward
-
-
 def compile_chain(elements) -> list:
     """Compile an element sequence into ops, fusing lens/propagation pairs.
 
+    A ``Mask`` or a ``QuadraticPhase`` is its own op, returned as given.
     Adjacent ``{Propagate, FourierLens}`` pairs (in either order) merge
     into one spectral-phase propagation; the scan is greedy left to right.
     An alternating run that starts and ends with a lens (``L P L``, ...)
@@ -310,21 +293,19 @@ def compile_chain(elements) -> list:
                     f"run an even length"
                 )
             ops.append(_LensOp())
-        elif isinstance(e, QuadraticPhase):
-            ops.append(_QuadraticPhaseOp(e))
-        elif isinstance(e, Mask):
-            ops.append(_MaskOp(e))
+        elif isinstance(e, (QuadraticPhase, Mask)):
+            ops.append(e)
         else:
             raise TypeError(f"unknown element {e!r}")
     return ops
 
 
-def apply_forward(e: Element, f: Field) -> Field:
+def apply_forward(e, f: Field) -> Field:
     """Apply one element in the physical (time-forward) direction."""
     return apply_chain_forward((e,), f)
 
 
-def apply_backward(e: Element, f: Field) -> Field:
+def apply_backward(e, f: Field) -> Field:
     """Apply one element in the reverse-traversal direction.
 
     For the unitary elements this is the adjoint of :func:`apply_forward`;

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroOutcomeError
+from .grid import _frozen
 
 __all__ = [
     "DensityOperator",
@@ -38,13 +39,12 @@ _PSD_TOL = -1e-10
 _SUM_TOL = 1e-10
 
 
-def _as_matrix(m, dim: int | None = None) -> np.ndarray:
-    a = np.array(m, dtype=np.complex128, copy=True)
+def _as_matrix(m, what: str) -> np.ndarray:
+    """A read-only copy of ``m``, which must be square and finite."""
+    a = np.array(m, dtype=np.complex128, order="C", copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    if dim is not None and a.shape[0] != dim:
-        raise ValueError(f"dimension mismatch: expected {dim}, got {a.shape[0]}")
-    return a
+    return _frozen(a, a.shape, what)
 
 
 def _check_hermitian_psd(a: np.ndarray, what: str) -> None:
@@ -61,11 +61,10 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = _as_matrix(self.matrix)
+        a = _as_matrix(self.matrix, "density operator")
         _check_hermitian_psd(a, "density operator")
         if abs(np.trace(a).real - 1.0) > _SUM_TOL:
             raise ValueError("density operator must have unit trace")
-        a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 
     @property
@@ -80,15 +79,15 @@ class PomSet:
     elements: tuple
 
     def __post_init__(self):
-        els = [_as_matrix(e) for e in self.elements]
+        els = [_as_matrix(e, "POM element") for e in self.elements]
         if not els:
             raise ValueError("a POM needs at least one element")
         dim = els[0].shape[0]
         total = np.zeros((dim, dim), dtype=np.complex128)
         for e in els:
-            _as_matrix(e, dim)
+            if len(e) != dim:
+                raise ValueError(f"dimension mismatch: expected {dim}, got {len(e)}")
             _check_hermitian_psd(e, "POM element")
-            e.setflags(write=False)
             total += e
         if np.max(np.abs(total - np.eye(dim))) > _SUM_TOL:
             raise ValueError("POM elements must sum to the identity")
@@ -111,7 +110,8 @@ class Ensemble:
 
     def __post_init__(self):
         p = np.array(self.priors, dtype=np.float64, copy=True)
-        if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+        _frozen(p, p.shape, "priors")
+        if p.ndim != 1 or abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("priors must be nonnegative and sum to 1")
         states = tuple(self.states)
         if len(states) != len(p):
@@ -119,7 +119,6 @@ class Ensemble:
         dim = states[0].dim
         if any(s.dim != dim for s in states):
             raise ValueError("all ensemble states must share a dimension")
-        p.setflags(write=False)
         object.__setattr__(self, "priors", p)
         object.__setattr__(self, "states", states)
 
@@ -135,10 +134,9 @@ class UnitaryEvolution:
     matrix: np.ndarray
 
     def __post_init__(self):
-        u = _as_matrix(self.matrix)
+        u = _as_matrix(self.matrix, "evolution matrix")
         if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > _SUM_TOL:
             raise ValueError("evolution matrix is not unitary")
-        u.setflags(write=False)
         object.__setattr__(self, "matrix", u)
 
     @property

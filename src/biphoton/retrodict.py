@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import DetectorProfile, _detector_rows, compile_chain
+from .elements import DetectorProfile, Mask, _detector_rows, compile_chain
 from .errors import DarkConditionalError, EdgeLeakageError, GridError, SweepError
 from .grid import Field, TransverseGrid, _edge_fractions, _frozen, _unchecked
 from .source import BiphotonField, DeltaCorrelatedSource
@@ -52,8 +52,7 @@ class ImagingSetup:
         if self.source.grid != self.grid:
             raise GridError("source and setup grids differ")
         for e in self.arm1 + self.arm2:
-            t = getattr(e, "t", None)
-            if t is not None and t.grid != self.grid:
+            if isinstance(e, Mask) and e.t.grid != self.grid:
                 raise GridError("mask and setup grids differ")
 
 

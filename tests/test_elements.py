@@ -9,6 +9,7 @@ from biphoton import (
     DetectorProfile,
     Field,
     FourierLens,
+    GridError,
     Mask,
     Propagate,
     QuadraticPhase,
@@ -21,7 +22,8 @@ from biphoton import (
     make_grid,
     materialize_detector,
 )
-from biphoton.elements import _detector_rows, compile_chain
+from biphoton.cli import ScenarioConfig, build_setup
+from biphoton.elements import _LensOp, _SpectralPhaseOp, _detector_rows, compile_chain
 from conftest import random_field
 
 F, KZ = 2.0, 50.0
@@ -298,3 +300,35 @@ class TestChains:
         assert np.ptp(mags) <= 1e-12 * mags[0]
         back = apply_forward(lens, flat)
         assert np.max(np.abs(back.values - point.values)) <= 1e-12 / np.sqrt(grid16.dx)
+
+
+class TestCompiledOps:
+    # The benchmark's replay names each traced op after its class
+    # (``perfbench/replay.py`` ``op_kind``: ``_SpectralPhaseOp`` ->
+    # ``spectral_phase``, ``Mask`` -> ``mask``), so these types are pinned.
+    def test_fig3_direct_arm1_is_a_spectral_phase_then_the_mask_itself(self):
+        setup = build_setup(ScenarioConfig(mask_kind="double-slit"))
+        prop, lens, mask = setup.arm1
+        assert (type(prop), type(lens), type(mask)) == (Propagate, FourierLens, Mask)
+        ops = compile_chain(setup.arm1)
+        assert [type(op) for op in ops] == [_SpectralPhaseOp, Mask]
+        assert ops[1] is mask
+
+    def test_lone_lens_compiles_to_a_lens_op(self):
+        ops = compile_chain((FourierLens(),))
+        assert [type(op) for op in ops] == [_LensOp]
+
+    def test_quadratic_phase_is_its_own_op(self):
+        q = QuadraticPhase(2.0, 50.0)
+        ops = compile_chain((q,))
+        assert len(ops) == 1 and ops[0] is q
+
+    def test_unknown_element_rejected(self):
+        with pytest.raises(TypeError, match="unknown element"):
+            compile_chain((object(),))
+
+    @pytest.mark.parametrize("apply", [apply_forward, apply_backward])
+    def test_mask_on_another_grid_rejected(self, apply, grid16, small_grid, rng):
+        mask = Mask(Field(small_grid, np.ones(small_grid.n)))
+        with pytest.raises(GridError, match="mask is sampled on a different grid"):
+            apply(mask, random_field(grid16, rng))

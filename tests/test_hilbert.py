@@ -39,6 +39,10 @@ def identity_evolution(dim):
     return UnitaryEvolution(np.eye(dim))
 
 
+def identity_density(dim):
+    return DensityOperator(np.eye(dim) / dim)
+
+
 def basis_pom(dim):
     return PomSet(
         tuple(np.outer(e, e.conj()) for e in np.eye(dim, dtype=complex))
@@ -68,6 +72,24 @@ class TestTypes:
     def test_unitary_validation(self):
         with pytest.raises(ValueError):
             UnitaryEvolution(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda b: DensityOperator(np.diag([1.0, b])),
+        lambda b: PomSet((np.diag([1.0, 0.0]), np.diag([0.0, b]))),
+        lambda b: Ensemble(
+            np.array([1.0, b]), (identity_density(2), identity_density(2))
+        ),
+        lambda b: UnitaryEvolution(np.diag([1.0, b])),
+    ],
+    ids=["DensityOperator", "PomSet", "Ensemble", "UnitaryEvolution"],
+)
+def test_non_finite_values_rejected(build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
 
 
 class TestPredictiveConditional:

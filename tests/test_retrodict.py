@@ -12,6 +12,7 @@ from biphoton import (
     EdgeLeakageError,
     Field,
     FourierLens,
+    GridError,
     ImagingSetup,
     Mask,
     Propagate,
@@ -48,6 +49,28 @@ def double_slit(grid, width=0.4, separation=2.0):
     return (
         (np.abs(grid.x - half) < width / 2) | (np.abs(grid.x + half) < width / 2)
     ).astype(complex)
+
+
+class TestSetupGrids:
+    def test_mask_on_another_grid_rejected(self, grid16, small_grid):
+        with pytest.raises(GridError, match="mask and setup grids differ"):
+            ImagingSetup(
+                grid=grid16,
+                arm1=(Mask(Field(small_grid, np.ones(small_grid.n))),),
+                arm2=(),
+                source=make_biphoton_delta_correlated(grid16, kappa=0.25),
+                detector1=DetectorProfile("gaussian", center=0.0, sigma=0.2),
+            )
+
+    def test_source_on_another_grid_rejected(self, grid16, small_grid):
+        with pytest.raises(GridError, match="source and setup grids differ"):
+            ImagingSetup(
+                grid=grid16,
+                arm1=(),
+                arm2=(),
+                source=make_biphoton_delta_correlated(small_grid, kappa=0.25),
+                detector1=DetectorProfile("gaussian", center=0.0, sigma=0.2),
+            )
 
 
 class TestRunRetrodictive:
