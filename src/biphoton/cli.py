@@ -14,13 +14,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import hilbert, predict
-from .elements import DetectorProfile, FourierLens, Mask, Propagate
+from .elements import DETECTOR_SHAPES, DetectorProfile, FourierLens, Mask, Propagate
 from .errors import BiphotonError, ConfigError, DarkConditionalError, SweepError
 from .grid import Field, make_grid
 from .retrodict import ImagingSetup, run_retrodictive, sweep_conditioning
@@ -39,7 +39,6 @@ __all__ = [
 
 SCENARIOS = ("fig3-direct", "fourier-2f", "custom")
 MASK_KINDS = ("none", "slit", "double-slit", "gaussian-aperture", "table")
-DETECTOR_SHAPES = ("gaussian", "tophat", "point")
 
 
 @dataclass(frozen=True)
@@ -429,6 +428,23 @@ def _check(name, value, threshold, larger_is_better=False, detail="") -> CheckRe
     )
 
 
+# n = 256 keeps the dense oracle cheap; the detector width is bumped to
+# stay resolvable at that grid (equivalence is detector-independent).
+_EQUIVALENCE_SCENARIOS = {
+    "fig3-direct/no-mask": ScenarioConfig(n=256, detector_sigma=0.2),
+    "fig3-direct/double-slit": ScenarioConfig(
+        mask_kind="double-slit", n=256, detector_sigma=0.2
+    ),
+    "fourier-2f/single-slit": ScenarioConfig(
+        scenario="fourier-2f",
+        mask_kind="slit",
+        mask_width=0.8,
+        detector_shape="point",
+        n=256,
+    ),
+}
+
+
 def _equivalence_check(cfg: ScenarioConfig, name: str) -> CheckResult:
     setup = build_setup(cfg)
     retro = run_retrodictive(setup).distribution
@@ -438,42 +454,27 @@ def _equivalence_check(cfg: ScenarioConfig, name: str) -> CheckResult:
     return _check(f"equivalence[{name}]", diff, 1e-8)
 
 
-def _restricted_l1(grid, density, reference, halfwidth=3.0) -> float:
-    m = np.abs(grid.x) <= halfwidth
-    p = density[m] / (density[m].sum() * grid.dx)
-    q = reference[m] / (reference[m].sum() * grid.dx)
-    return float(np.sum(np.abs(p - q)) * grid.dx)
+def _ghost_l1(cfg: ScenarioConfig) -> float:
+    """L1 distance between the conditional and ``|t(x)|^2`` on ``|x| <= 3``,
+    each normalized there."""
+    setup = build_setup(cfg)
+    g = setup.grid
+    m = np.abs(g.x) <= 3.0
+    p = run_retrodictive(setup).distribution.density[m]
+    q = np.abs(_mask_values(cfg, g)[m]) ** 2
+    return float(np.sum(np.abs(p / (p.sum() * g.dx) - q / (q.sum() * g.dx))) * g.dx)
 
 
 def _ghost_image_checks() -> list[CheckResult]:
-    base = dict(
-        scenario="fig3-direct",
-        mask_kind="double-slit",
-        mask_width=0.4,
-        mask_separation=2.0,
-        kappa=8.0,
-        n=512,
-        extent=16.0,
-    )
-    cfg = ScenarioConfig(detector_shape="point", **base)
-    setup = build_setup(cfg)
-    res = run_retrodictive(setup)
-    tsq = np.abs(_mask_values(cfg, setup.grid)) ** 2
-    l1 = _restricted_l1(setup.grid, res.distribution.density, tsq)
-    out = [_check("ghost-image[point]", l1, 1e-2)]
-
+    cfg = ScenarioConfig(mask_kind="double-slit", kappa=8.0, detector_shape="point")
+    out = [_check("ghost-image[point]", _ghost_l1(cfg), 1e-2)]
     # detector-width sweep in units of the mask feature size, finer grid so
     # the narrowest width stays resolvable
-    feature = 0.4
-    l1s = []
-    for s in (0.4 * feature, 0.2 * feature, 0.1 * feature):
-        cfg_s = ScenarioConfig(
-            detector_shape="gaussian", detector_sigma=s, **{**base, "n": 1024}
-        )
-        setup_s = build_setup(cfg_s)
-        res_s = run_retrodictive(setup_s)
-        tsq_s = np.abs(_mask_values(cfg_s, setup_s.grid)) ** 2
-        l1s.append(_restricted_l1(setup_s.grid, res_s.distribution.density, tsq_s))
+    feature = cfg.mask_width
+    l1s = [
+        _ghost_l1(replace(cfg, detector_shape="gaussian", detector_sigma=s, n=1024))
+        for s in (0.4 * feature, 0.2 * feature, 0.1 * feature)
+    ]
     worst_step = max(b - a for a, b in zip(l1s, l1s[1:]))
     out.append(
         _check(
@@ -532,32 +533,16 @@ def _focal_closed_form_check() -> CheckResult:
 
 
 def _washout_checks() -> list[CheckResult]:
-    # Narrow detector on the scenario's own grid.
-    cfg_n = ScenarioConfig(
-        scenario="fig3-direct",
-        mask_kind="double-slit",
-        detector_shape="gaussian",
-        detector_sigma=0.1,
-        n=512,
-        extent=16.0,
-    )
-    mi_n = predict.mutual_information_bits(
-        predict.joint_for_setup(build_setup(cfg_n)), bins=64
-    )
+    def mi(**kw) -> float:
+        cfg = ScenarioConfig(mask_kind="double-slit", **kw)
+        joint = predict.joint_for_setup(build_setup(cfg))
+        return predict.mutual_information_bits(joint)
+
     # Broad detector, sigma = L/4.  The broad-detector regime needs
-    # window >> detector >> mask, so it runs on an enlarged window.
+    # window >> detector >> mask, so it runs on an enlarged window; the
+    # narrow detector runs on the scenario's own grid.
     L = 64.0
-    cfg_b = ScenarioConfig(
-        scenario="fig3-direct",
-        mask_kind="double-slit",
-        detector_shape="gaussian",
-        detector_sigma=L / 4,
-        n=1024,
-        extent=L,
-    )
-    mi_b = predict.mutual_information_bits(
-        predict.joint_for_setup(build_setup(cfg_b)), bins=64
-    )
+    mi_n, mi_b = mi(), mi(detector_sigma=L / 4, n=1024, extent=L)
     return [
         _check("washout[MI, sigma=0.1]", mi_n, 0.5, larger_is_better=True),
         _check("washout[MI, sigma=L/4]", mi_b, 0.01),
@@ -587,42 +572,7 @@ def _finite_dim_check(instances: int = 100) -> CheckResult:
 
 def verify_report(fast: bool = False) -> list[CheckResult]:
     """Run the verification suite and return one result per check."""
-    checks: list[CheckResult] = []
-    # n = 256 keeps the dense oracle cheap; the detector width is bumped to
-    # stay resolvable at that grid (equivalence is detector-independent).
-    n_eq, sigma_eq = 256, 0.2
-    checks.append(
-        _equivalence_check(
-            ScenarioConfig(
-                scenario="fig3-direct", n=n_eq, extent=16.0, detector_sigma=sigma_eq
-            ),
-            "fig3-direct/no-mask",
-        )
-    )
-    checks.append(
-        _equivalence_check(
-            ScenarioConfig(
-                scenario="fig3-direct",
-                mask_kind="double-slit",
-                n=n_eq,
-                extent=16.0,
-                detector_sigma=sigma_eq,
-            ),
-            "fig3-direct/double-slit",
-        )
-    )
-    checks.append(
-        _equivalence_check(
-            ScenarioConfig(
-                scenario="fourier-2f",
-                mask_kind="slit",
-                mask_width=0.8,
-                detector_shape="point",
-                n=n_eq,
-            ),
-            "fourier-2f/single-slit",
-        )
-    )
+    checks = [_equivalence_check(c, name) for name, c in _EQUIVALENCE_SCENARIOS.items()]
     checks.append(_finite_dim_check(30 if fast else 100))
     if not fast:
         checks.extend(_ghost_image_checks())

@@ -42,6 +42,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,13 +132,17 @@ class Mask:
     backward = forward
 
 
+DETECTOR_SHAPES = ("gaussian", "tophat", "point")
+
+
 @dataclass(frozen=True)
 class DetectorProfile:
     """Detector resolution function: Gaussian, top-hat, or single point.
 
     ``shape`` is one of ``"gaussian"`` (width ``sigma``), ``"tophat"``
     (full width ``width``) or ``"point"``; ``center`` is the nominal
-    detection position x1.
+    detection position x1.  Every parameter given must be finite; one that
+    the shape does not use may be ``None``.
     """
 
     shape: str
@@ -146,8 +151,12 @@ class DetectorProfile:
     width: float | None = None
 
     def __post_init__(self):
-        if self.shape not in ("gaussian", "tophat", "point"):
+        if self.shape not in DETECTOR_SHAPES:
             raise ValueError(f"unknown detector shape {self.shape!r}")
+        for name in ("center", "sigma", "width"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"detector {name} must be finite, got {v!r}")
         if self.shape == "gaussian" and (self.sigma is None or self.sigma <= 0):
             raise ValueError("gaussian detector needs sigma > 0")
         if self.shape == "tophat" and (self.width is None or self.width <= 0):

@@ -23,6 +23,7 @@ Wavevector-space sample vectors are stored in FFT order (matching
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,6 +126,8 @@ class TransverseGrid:
 
     def index_of(self, position: float) -> int:
         """Index of the grid point nearest to ``position``."""
+        if not math.isfinite(position):
+            raise GridError(f"position {position!r} is not finite")
         i = int(np.rint(position / self.dx)) + self.n // 2
         if not 0 <= i < self.n:
             raise GridError(f"position {position!r} lies outside the window")

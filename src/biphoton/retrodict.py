@@ -98,7 +98,7 @@ class RetrodictiveResult:
 
 
 def _central80(g: TransverseGrid, position: float) -> None:
-    if abs(position) > 0.4 * g.extent:
+    if not abs(position) <= 0.4 * g.extent:  # also rejects NaN
         raise ValueError(
             f"conditioning position {position:g} outside the central 80% "
             f"of the window (|x1| <= {0.4 * g.extent:g}); move detector.x1 "

@@ -483,6 +483,27 @@ class TestVerify:
         assert [c.value for c in a] == [c.value for c in b]
         assert all(c.passed for c in a)
 
+    def test_check_names_and_order_are_pinned(self):
+        from biphoton.cli import verify_report
+
+        fast = [
+            "equivalence[fig3-direct/no-mask]",
+            "equivalence[fig3-direct/double-slit]",
+            "equivalence[fourier-2f/single-slit]",
+            "finite-dim-equivalence[30 instances]",
+        ]
+        full = fast[:3] + [
+            "finite-dim-equivalence[100 instances]",
+            "ghost-image[point]",
+            "ghost-image[sigma-sweep-monotone]",
+            "fourier-image[point]",
+            "focal-closed-form[sigma 0.5,1,2]",
+            "washout[MI, sigma=0.1]",
+            "washout[MI, sigma=L/4]",
+        ]
+        assert [c.name for c in verify_report(fast=True)] == fast
+        assert [c.name for c in verify_report(fast=False)] == full
+
     def test_verify_command_exit_code(self, capsys):
         assert main(["verify", "--fast"]) == 0
         out = capsys.readouterr().out

@@ -90,6 +90,23 @@ class TestMaterializeDetector:
             DetectorProfile("gaussian", 0.0, sigma=-1.0)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "shape, key",
+        [
+            ("gaussian", "center"),
+            ("gaussian", "sigma"),
+            ("tophat", "center"),
+            ("tophat", "width"),
+            ("point", "center"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, shape, key, bad):
+        params = {"center": 0.0, "sigma": 0.5, "width": 1.0} | {key: bad}
+        with pytest.raises(ValueError, match=f"detector {key} must be finite"):
+            DetectorProfile(shape, **params)
+
+
 class TestDetectorRows:
     @pytest.mark.parametrize(
         "det",

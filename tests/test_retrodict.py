@@ -173,6 +173,22 @@ class TestSweep:
         with pytest.raises(ValueError, match="central 80%"):
             sweep_conditioning(setup, [0.0, 0.95 * grid16.extent / 2])
 
+    @pytest.mark.parametrize(
+        "det",
+        [
+            DetectorProfile("gaussian", sigma=0.2),
+            DetectorProfile("tophat", width=0.7),
+            DetectorProfile("point"),
+        ],
+    )
+    def test_non_finite_position_gets_the_named_error(self, grid16, det):
+        setup = fig3_setup(grid16, detector=det)
+        for x1 in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="central 80%"):
+                sweep_conditioning(setup, [x1])
+            with pytest.raises(GridError, match="not finite"):
+                conditional_from_joint(joint_for_setup(setup), x1)
+
     def test_setup_error_raised_once_not_per_position(self):
         # f = 200 at k_z = 1 undersamples the focal propagation on n = 64:
         # no position escapes it, so it is raised once and not as SweepError
