@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -37,9 +38,6 @@ __all__ = [
     "main",
 ]
 
-SCENARIOS = ("fig3-direct", "fourier-2f", "custom")
-MASK_KINDS = ("none", "slit", "double-slit", "gaussian-aperture", "table")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -62,19 +60,89 @@ class ScenarioConfig:
     mask_file: str = ""
     fresnel_half_factor: bool = False
     output_path: str = "."
-    output_format: str = "csv"
     output_stages: bool = False
 
     def __post_init__(self):
+        # a config built in code gets the parser's choice checks
+        for key in ("scenario", "detector.shape", "mask.kind"):
+            attr, parse = _SCHEMA[key]
+            try:
+                parse(getattr(self, attr))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
         if self.extent is None:
-            # The Fourier-imaging geometry wants a self-conjugate window
-            # (dk == dx) so the lens maps wavevector content to position at
-            # unit scale.
-            fourier = self.scenario == "fourier-2f"
-            extent = float(np.sqrt(2 * np.pi * self.n)) if fourier else 16.0
-            object.__setattr__(self, "extent", extent)
+            object.__setattr__(self, "extent", SCENARIOS[self.scenario].extent(self.n))
         if self.mask_kind == "table" and not self.mask_file:
             raise ConfigError("mask.kind = table requires mask.file")
+
+
+def _mask_table(cfg: ScenarioConfig, g) -> list[complex]:
+    rows = []
+    try:
+        text = Path(cfg.mask_file).read_text()
+    except OSError as exc:
+        raise ConfigError(f"mask.file: cannot read {cfg.mask_file!r}: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        try:
+            re_part = float(parts[0])
+            im_part = float(parts[1]) if len(parts) > 1 else 0.0
+        except (ValueError, IndexError):
+            raise ConfigError(
+                f"mask.file: bad row {line!r} at line {lineno} of {cfg.mask_file!r}"
+            ) from None
+        if not (np.isfinite(re_part) and np.isfinite(im_part)):
+            raise ConfigError(
+                f"mask.file: non-finite value {line!r} at line {lineno} "
+                f"of {cfg.mask_file!r}"
+            )
+        rows.append(complex(re_part, im_part))
+    if len(rows) != g.n:
+        raise ConfigError(f"mask.file: table has {len(rows)} rows; grid.n needs {g.n}")
+    if max(map(abs, rows)) > 1 + 1e-12:
+        raise ConfigError("mask.file: table values must satisfy |t| <= 1")
+    return rows
+
+
+# mask.kind -> t(x) of (cfg, grid); "none" puts no mask in arm 1
+MASK_KINDS = {
+    "none": None,
+    "slit": lambda cfg, g: np.abs(g.x) < cfg.mask_width / 2,
+    # open within mask.width / 2 of the nearer slit centre
+    "double-slit": lambda cfg, g: (
+        np.abs(np.abs(g.x) - cfg.mask_separation / 2) < cfg.mask_width / 2
+    ),
+    "gaussian-aperture": lambda cfg, g: np.exp(-(g.x**2) / (2 * cfg.mask_sigma**2)),
+    "table": _mask_table,
+}
+
+
+def _mask_values(cfg: ScenarioConfig, g) -> np.ndarray | None:
+    t = MASK_KINDS[cfg.mask_kind]
+    return None if t is None else np.asarray(t(cfg, g), dtype=np.complex128)
+
+
+# arms(cfg) -> (arm 1 before the mask, in backward order; arm 2);
+# extent(n) -> the default grid.extent
+_Scenario = namedtuple("_Scenario", "arms extent")
+SCENARIOS = {
+    # Backward traversal: focal propagation + lens, then the mask at the
+    # crystal.  The crystal plane is read out directly in arm 2.
+    "fig3-direct": _Scenario(
+        lambda c: ((Propagate(c.f, c.k_z, c.fresnel_half_factor), FourierLens()), ()),
+        lambda n: 16.0,
+    ),
+    # Far-field detector in arm 1; arm 2 maps the crystal state's wavevector
+    # content to position, at unit scale on the self-conjugate default window.
+    "fourier-2f": _Scenario(
+        lambda c: ((FourierLens(),), (FourierLens(),)),
+        lambda n: float(np.sqrt(2 * np.pi * n)),  # self-conjugate: dk == dx
+    ),
+    "custom": _Scenario(lambda c: ((), ()), lambda n: 16.0),  # bare testbed: no optics
+}
 
 
 # Value parsers: raw text -> value, or ValueError naming what was expected
@@ -154,14 +222,13 @@ _SCHEMA = {
     "mask.file": ("mask_file", str),
     "fresnel_half_factor": ("fresnel_half_factor", _parse_bool),
     "output.path": ("output_path", str),
-    "output.format": ("output_format", _choice("csv")),
     "output.stages": ("output_stages", _parse_bool),
 }
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse flat key = value text into a validated configuration."""
-    values: dict = {}
+    values, first_line = {}, {}  # ScenarioConfig attribute -> value; key -> line
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.split("#", 1)[0].strip()
         if not stripped:
@@ -172,6 +239,8 @@ def parse_config(text: str) -> ScenarioConfig:
         key, raw = key.strip(), raw.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}", lineno)
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{key} is already set at line {first_line[key]}", lineno)
         attr, parse = _SCHEMA[key]
         try:
             values[attr] = parse(raw)
@@ -211,74 +280,13 @@ def _config_help() -> str:
     return "\n".join(lines)
 
 
-def _mask_values(cfg: ScenarioConfig, g) -> np.ndarray | None:
-    x = g.x
-    if cfg.mask_kind == "none":
-        return None
-    if cfg.mask_kind == "slit":
-        return (np.abs(x) < cfg.mask_width / 2).astype(np.complex128)
-    if cfg.mask_kind == "double-slit":
-        half = cfg.mask_separation / 2
-        open_ = (np.abs(x - half) < cfg.mask_width / 2) | (
-            np.abs(x + half) < cfg.mask_width / 2
-        )
-        return open_.astype(np.complex128)
-    if cfg.mask_kind == "gaussian-aperture":
-        return np.exp(-(x**2) / (2 * cfg.mask_sigma**2)).astype(np.complex128)
-    # table
-    rows = []
-    try:
-        text = Path(cfg.mask_file).read_text()
-    except OSError as exc:
-        raise ConfigError(f"mask.file: cannot read {cfg.mask_file!r}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        try:
-            re_part = float(parts[0])
-            im_part = float(parts[1]) if len(parts) > 1 else 0.0
-        except (ValueError, IndexError):
-            raise ConfigError(
-                f"mask.file: bad row {line!r} at line {lineno} of {cfg.mask_file!r}"
-            ) from None
-        if not (np.isfinite(re_part) and np.isfinite(im_part)):
-            raise ConfigError(
-                f"mask.file: non-finite value {line!r} at line {lineno} "
-                f"of {cfg.mask_file!r}"
-            )
-        rows.append(complex(re_part, im_part))
-    if len(rows) != g.n:
-        raise ConfigError(
-            f"mask.file: table has {len(rows)} rows; grid.n needs {g.n}"
-        )
-    t = np.asarray(rows, dtype=np.complex128)
-    if np.max(np.abs(t)) > 1 + 1e-12:
-        raise ConfigError("mask.file: table values must satisfy |t| <= 1")
-    return t
-
-
 def build_setup(cfg: ScenarioConfig) -> ImagingSetup:
     """Materialize a configuration into a runnable imaging setup."""
     g = make_grid(cfg.n, cfg.extent)
     tvals = _mask_values(cfg, g)
-    mask = (Mask(Field(g, tvals)),) if tvals is not None else ()
-
-    half = cfg.fresnel_half_factor
-    if cfg.scenario == "fig3-direct":
-        # Backward traversal: focal propagation + lens, then the mask at
-        # the crystal.  The crystal plane is read out directly in arm 2.
-        arm1 = (Propagate(cfg.f, cfg.k_z, half), FourierLens()) + mask
-        arm2 = ()
-    elif cfg.scenario == "fourier-2f":
-        # Far-field detector in arm 1; arm 2 maps the crystal state's
-        # wavevector content to position (unit scale on this window).
-        arm1 = (FourierLens(),) + mask
-        arm2 = (FourierLens(),)
-    else:  # custom: bare conditioning testbed
-        arm1 = mask
-        arm2 = ()
+    arm1, arm2 = SCENARIOS[cfg.scenario].arms(cfg)
+    if tvals is not None:
+        arm1 += (Mask(Field(g, tvals)),)
 
     # the config's kappa is the pump spot width, the library's 1/kappa; its
     # bounds are checked here so that the errors name the key the user set
@@ -297,8 +305,8 @@ def build_setup(cfg: ScenarioConfig) -> ImagingSetup:
     det = DetectorProfile(
         cfg.detector_shape,
         center=float(cfg.detector_x1[0]),
-        sigma=cfg.detector_sigma if cfg.detector_shape == "gaussian" else None,
-        width=cfg.detector_width if cfg.detector_shape == "tophat" else None,
+        sigma=cfg.detector_sigma,
+        width=cfg.detector_width,
     )
     return ImagingSetup(grid=g, arm1=arm1, arm2=arm2, source=source, detector1=det)
 
@@ -488,13 +496,7 @@ def _ghost_image_checks() -> list[CheckResult]:
 
 
 def _fourier_image_check() -> CheckResult:
-    cfg = ScenarioConfig(
-        scenario="fourier-2f",
-        detector_shape="point",
-        mask_kind="slit",
-        mask_width=0.8,
-        n=512,
-    )
+    cfg = replace(_EQUIVALENCE_SCENARIOS["fourier-2f/single-slit"], n=512, extent=None)
     setup = build_setup(cfg)
     res = run_retrodictive(setup)
     g = setup.grid
@@ -514,9 +516,7 @@ def _focal_closed_form_check() -> CheckResult:
     f, k_z, x1 = 2.0, 50.0, 0.5
     worst = 0.0
     for sigma in (0.5, 1.0, 2.0):
-        det = materialize_detector(
-            DetectorProfile("gaussian", center=x1, sigma=sigma), g
-        )
+        det = materialize_detector(DetectorProfile("gaussian", x1, sigma=sigma), g)
         out = apply_chain_backward((Propagate(f, k_z), FourierLens()), det)
         gfac = 1 - 2j * f / (k_z * sigma**2)
         ref = (

@@ -132,7 +132,8 @@ class Mask:
     backward = forward
 
 
-DETECTOR_SHAPES = ("gaussian", "tophat", "point")
+# detector shape -> the parameter that sets its size
+DETECTOR_SHAPES = {"gaussian": "sigma", "tophat": "width", "point": None}
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,8 @@ class DetectorProfile:
 
     ``shape`` is one of ``"gaussian"`` (width ``sigma``), ``"tophat"``
     (full width ``width``) or ``"point"``; ``center`` is the nominal
-    detection position x1.  Every parameter given must be finite; one that
-    the shape does not use may be ``None``.
+    detection position x1.  A size parameter that the shape does not use is
+    ignored, but must be finite or ``None``.
     """
 
     shape: str
@@ -155,12 +156,11 @@ class DetectorProfile:
             raise ValueError(f"unknown detector shape {self.shape!r}")
         for name in ("center", "sigma", "width"):
             v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
+            if not (math.isfinite(v) if v is not None else name != "center"):
                 raise ValueError(f"detector {name} must be finite, got {v!r}")
-        if self.shape == "gaussian" and (self.sigma is None or self.sigma <= 0):
-            raise ValueError("gaussian detector needs sigma > 0")
-        if self.shape == "tophat" and (self.width is None or self.width <= 0):
-            raise ValueError("tophat detector needs width > 0")
+        size = DETECTOR_SHAPES[self.shape]
+        if size and (getattr(self, size) is None or getattr(self, size) <= 0):
+            raise ValueError(f"{self.shape} detector needs {size} > 0")
 
 
 def materialize_detector(d: DetectorProfile, g: TransverseGrid) -> Field:
@@ -179,7 +179,7 @@ def materialize_detector(d: DetectorProfile, g: TransverseGrid) -> Field:
 def _detector_rows(d: DetectorProfile, g: TransverseGrid, centres) -> np.ndarray:
     """Row ``i``: :func:`materialize_detector` of ``d`` moved to ``centres[i]``."""
     c = np.asarray(centres, dtype=np.float64).reshape(-1, 1)
-    name = {"gaussian": "sigma", "tophat": "width"}.get(d.shape)
+    name = DETECTOR_SHAPES[d.shape]
     if name is not None and getattr(d, name) < 2 * g.dx:
         raise ValueError(
             f"{d.shape} detector {name}={getattr(d, name):g} unresolvable: "

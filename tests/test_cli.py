@@ -10,6 +10,8 @@ import pytest
 from biphoton import ConfigError, FourierLens, Mask, Propagate
 from biphoton.cli import (
     _SCHEMA,
+    DETECTOR_SHAPES,
+    MASK_KINDS,
     SCENARIOS,
     ScenarioConfig,
     build_setup,
@@ -87,15 +89,44 @@ class TestParseConfig:
 
     def test_docs_list_every_schema_key(self, capsys):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
-        readme_keys = set(re.findall(r"^\| `([^`]+)` \|", readme, re.MULTILINE))
+        section = readme.split("### Config format", 1)[1].split("\n#", 1)[0]
+        rows = dict(re.findall(r"^\| `([^`]+)` \|(.*)\|$", section, re.MULTILINE))
         with pytest.raises(SystemExit) as exit_:
             main(["run", "--help"])
         assert exit_.value.code == 0
         help_keys = set(
             re.findall(r"^  ([\w.]+) =", capsys.readouterr().out, re.MULTILINE)
         )
-        assert readme_keys == set(_SCHEMA)
+        assert set(rows) == set(_SCHEMA)
         assert help_keys == set(_SCHEMA)
+        # every choice of a choice key is documented, and nothing else
+        for key, table in (
+            ("scenario", SCENARIOS),
+            ("detector.shape", DETECTOR_SHAPES),
+            ("mask.kind", MASK_KINDS),
+        ):
+            assert re.findall(r"`([^`]+)`", rows[key]) == list(table), key
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match="line 3: grid.n is already set at line 1"):
+            parse_config("grid.n = 256\nf = 1.0\ngrid.n = 512\n")
+
+    def test_removed_output_format_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match="line 1: unknown key 'output.format'"):
+            parse_config("output.format = csv\n")
+
+    # near misses of real names: no fallback branch may take them
+    @pytest.mark.parametrize(
+        "field, key, bad",
+        [
+            ("scenario", "scenario", "fourier2f"),
+            ("detector_shape", "detector.shape", "Gaussian"),
+            ("mask_kind", "mask.kind", "double_slit"),
+        ],
+    )
+    def test_config_built_in_code_rejects_unknown_choice(self, field, key, bad):
+        with pytest.raises(ConfigError, match=f"^{key}: expected one of .*{bad!r}"):
+            ScenarioConfig(**{field: bad})
 
 
 class TestBuildSetup:

@@ -106,6 +106,12 @@ class TestMaterializeDetector:
         with pytest.raises(ValueError, match=f"detector {key} must be finite"):
             DetectorProfile(shape, **params)
 
+    @pytest.mark.parametrize("shape", ["gaussian", "tophat", "point"])
+    def test_center_none_rejected(self, shape):
+        # an unused sigma or width may stay None; the center is always used
+        with pytest.raises(ValueError, match="detector center must be finite, got None"):
+            DetectorProfile(shape, center=None, sigma=0.5, width=1.0)
+
 
 class TestDetectorRows:
     @pytest.mark.parametrize(
