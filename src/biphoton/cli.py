@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,43 +39,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """One scenario.  ``extent = None`` resolves to the scenario's window."""
-
-    scenario: str = "fig3-direct"
-    n: int = 512
-    extent: float | None = None
-    k_z: float = 50.0
-    f: float = 2.0
-    kappa: float = 4.0
-    detector_shape: str = "gaussian"
-    detector_sigma: float = 0.1
-    detector_width: float = 1.0
-    detector_x1: tuple = (0.0,)
-    mask_kind: str = "none"
-    mask_width: float = 0.4
-    mask_separation: float = 2.0
-    mask_sigma: float = 1.0
-    mask_file: str = ""
-    fresnel_half_factor: bool = False
-    output_path: str = "."
-    output_stages: bool = False
-
-    def __post_init__(self):
-        # a config built in code gets the parser's choice checks
-        for key in ("scenario", "detector.shape", "mask.kind"):
-            attr, parse = _SCHEMA[key]
-            try:
-                parse(getattr(self, attr))
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-        if self.extent is None:
-            object.__setattr__(self, "extent", SCENARIOS[self.scenario].extent(self.n))
-        if self.mask_kind == "table" and not self.mask_file:
-            raise ConfigError("mask.kind = table requires mask.file")
-
-
 def _mask_table(cfg: ScenarioConfig, g) -> list[complex]:
     rows = []
     try:
@@ -86,11 +49,10 @@ def _mask_table(cfg: ScenarioConfig, g) -> list[complex]:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split(",")]
-        try:
-            re_part = float(parts[0])
-            im_part = float(parts[1]) if len(parts) > 1 else 0.0
-        except (ValueError, IndexError):
+        parts = line.split(",")
+        try:  # re[,im]: any other column count fails to unpack
+            re_part, im_part = map(float, parts + ["0"] * (2 - len(parts)))
+        except ValueError:
             raise ConfigError(
                 f"mask.file: bad row {line!r} at line {lineno} of {cfg.mask_file!r}"
             ) from None
@@ -126,27 +88,41 @@ def _mask_values(cfg: ScenarioConfig, g) -> np.ndarray | None:
 
 
 # arms(cfg) -> (arm 1 before the mask, in backward order; arm 2);
-# extent(n) -> the default grid.extent
-_Scenario = namedtuple("_Scenario", "arms extent")
+# extent(n) -> the default grid.extent; about -> its `biphoton scenarios` lines
+_Scenario = namedtuple("_Scenario", "arms extent about")
 SCENARIOS = {
     # Backward traversal: focal propagation + lens, then the mask at the
     # crystal.  The crystal plane is read out directly in arm 2.
     "fig3-direct": _Scenario(
-        lambda c: ((Propagate(c.f, c.k_z, c.fresnel_half_factor), FourierLens()), ()),
+        lambda c: ((Propagate(c.f, c.k_z), FourierLens()), ()),
         lambda n: 16.0,
+        (
+            "focal-plane detector arm backed off through a lens;",
+            "mask at the crystal; crystal-plane readout in arm 2.",
+            "Point detector + broad pump -> image |t(x)|^2.",
+        ),
     ),
     # Far-field detector in arm 1; arm 2 maps the crystal state's wavevector
     # content to position, at unit scale on the self-conjugate default window.
     "fourier-2f": _Scenario(
         lambda c: ((FourierLens(),), (FourierLens(),)),
         lambda n: float(np.sqrt(2 * np.pi * n)),  # self-conjugate: dk == dx
+        (
+            "far-field detector arm; arm 2 maps wavevector",
+            "content to position at unit scale (self-conjugate",
+            "window). Point detector -> |FT t|^2.",
+        ),
     ),
-    "custom": _Scenario(lambda c: ((), ()), lambda n: 16.0),  # bare testbed: no optics
+    "custom": _Scenario(
+        lambda c: ((), ()),
+        lambda n: 16.0,
+        ("bare conditioning testbed: optional mask in arm 1,", "no other optics."),
+    ),
 }
 
 
 # Value parsers: raw text -> value, or ValueError naming what was expected
-# (parse_config prefixes the key and line).
+# (ScenarioConfig prefixes the key; parse_config the line).
 
 
 def _parse_bool(raw: str) -> bool:
@@ -192,6 +168,13 @@ def _parse_positions(raw: str) -> tuple:
     return tuple(_parse_float(p) for p in parts)
 
 
+def _parse_text(raw: str) -> str:
+    # as parse_config reads a line back: no comment, line break or edge space
+    if raw != raw.split("#", 1)[0].strip() or len(raw.splitlines()) > 1:
+        raise ValueError(f"cannot be written on one config line: {raw!r}")
+    return raw
+
+
 def _choice(*options: str):
     def parse(raw: str) -> str:
         if raw not in options:
@@ -202,33 +185,60 @@ def _choice(*options: str):
     return parse
 
 
-# config key -> (ScenarioConfig attribute, parser), in serialization order.
-# Defaults live on the ScenarioConfig fields.
+def _key(key: str, parse, default):
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """One scenario; each field is one config key, in serialization order.
+
+    Every value passes its key's parser, however the config is built, and
+    is stored as parsed: ``k_z=100`` holds ``100.0``, ``detector_x1=[0.5]``
+    holds ``(0.5,)``.  ``extent = None`` resolves to the scenario's window.
+    """
+
+    scenario: str = _key("scenario", _choice(*SCENARIOS), "fig3-direct")
+    n: int = _key("grid.n", _parse_n, 512)
+    extent: float | None = _key("grid.extent", _parse_positive, None)
+    k_z: float = _key("k_z", _parse_positive, 50.0)
+    f: float = _key("f", _parse_positive, 2.0)
+    kappa: float = _key("kappa", _parse_positive, 4.0)
+    detector_shape: str = _key("detector.shape", _choice(*DETECTOR_SHAPES), "gaussian")
+    detector_sigma: float = _key("detector.sigma", _parse_positive, 0.1)
+    detector_width: float = _key("detector.width", _parse_positive, 1.0)
+    detector_x1: tuple = _key("detector.x1", _parse_positions, (0.0,))
+    mask_kind: str = _key("mask.kind", _choice(*MASK_KINDS), "none")
+    mask_width: float = _key("mask.width", _parse_positive, 0.4)
+    mask_separation: float = _key("mask.separation", _parse_positive, 2.0)
+    mask_sigma: float = _key("mask.sigma", _parse_positive, 1.0)
+    mask_file: str = _key("mask.file", _parse_text, "")
+    output_path: str = _key("output.path", _parse_text, ".")
+    output_stages: bool = _key("output.stages", _parse_bool, False)
+
+    def __post_init__(self):
+        for fld in fields(self):
+            key, parse = fld.metadata["key"], fld.metadata["parse"]
+            v = getattr(self, fld.name)
+            if fld.name == "extent" and v is None:
+                v = SCENARIOS[self.scenario].extent(self.n)  # both parsed by now
+            try:
+                object.__setattr__(self, fld.name, parse(_format_value(v)))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}", key=key) from None
+        if self.mask_kind == "table" and not self.mask_file:
+            raise ConfigError("mask.kind = table requires mask.file", key="mask.kind")
+
+
+# config key -> (ScenarioConfig attribute, parser), in serialization order
 _SCHEMA = {
-    "scenario": ("scenario", _choice(*SCENARIOS)),
-    "grid.n": ("n", _parse_n),
-    "grid.extent": ("extent", _parse_positive),
-    "k_z": ("k_z", _parse_positive),
-    "f": ("f", _parse_positive),
-    "kappa": ("kappa", _parse_positive),
-    "detector.shape": ("detector_shape", _choice(*DETECTOR_SHAPES)),
-    "detector.sigma": ("detector_sigma", _parse_positive),
-    "detector.width": ("detector_width", _parse_positive),
-    "detector.x1": ("detector_x1", _parse_positions),
-    "mask.kind": ("mask_kind", _choice(*MASK_KINDS)),
-    "mask.width": ("mask_width", _parse_positive),
-    "mask.separation": ("mask_separation", _parse_positive),
-    "mask.sigma": ("mask_sigma", _parse_positive),
-    "mask.file": ("mask_file", str),
-    "fresnel_half_factor": ("fresnel_half_factor", _parse_bool),
-    "output.path": ("output_path", str),
-    "output.stages": ("output_stages", _parse_bool),
+    f.metadata["key"]: (f.name, f.metadata["parse"]) for f in fields(ScenarioConfig)
 }
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse flat key = value text into a validated configuration."""
-    values, first_line = {}, {}  # ScenarioConfig attribute -> value; key -> line
+    values, first_line = {}, {}  # ScenarioConfig attribute -> raw text; key -> line
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.split("#", 1)[0].strip()
         if not stripped:
@@ -236,26 +246,25 @@ def parse_config(text: str) -> ScenarioConfig:
         if "=" not in stripped:
             raise ConfigError(f"expected 'key = value', got {stripped!r}", lineno)
         key, _, raw = stripped.partition("=")
-        key, raw = key.strip(), raw.strip()
+        key = key.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if first_line.setdefault(key, lineno) != lineno:
             raise ConfigError(f"{key} is already set at line {first_line[key]}", lineno)
-        attr, parse = _SCHEMA[key]
-        try:
-            values[attr] = parse(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}", lineno) from None
-    return ScenarioConfig(**values)
+        values[_SCHEMA[key][0]] = raw.strip()
+    try:
+        return ScenarioConfig(**values)
+    except ConfigError as exc:  # name the line that set the offending key
+        raise ConfigError(str(exc), first_line.get(exc.key), exc.key) from None
 
 
 def _format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, tuple):
-        return ", ".join(repr(float(p)) for p in v)
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (tuple, list)):
+        return ", ".join(_format_value(p) for p in v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     return str(v)
 
 
@@ -304,7 +313,7 @@ def build_setup(cfg: ScenarioConfig) -> ImagingSetup:
     source = make_biphoton_delta_correlated(g, kappa=1.0 / cfg.kappa)
     det = DetectorProfile(
         cfg.detector_shape,
-        center=float(cfg.detector_x1[0]),
+        center=cfg.detector_x1[0],
         sigma=cfg.detector_sigma,
         width=cfg.detector_width,
     )
@@ -387,16 +396,9 @@ def run(cfg: ScenarioConfig, out_dir: str | None = None) -> list[Path]:
 
 
 def scenario_descriptions() -> str:
-    return (
-        "fig3-direct   focal-plane detector arm backed off through a lens;\n"
-        "              mask at the crystal; crystal-plane readout in arm 2.\n"
-        "              Point detector + broad pump -> image |t(x)|^2.\n"
-        "fourier-2f    far-field detector arm; arm 2 maps wavevector\n"
-        "              content to position at unit scale (self-conjugate\n"
-        "              window). Point detector -> |FT t|^2.\n"
-        "custom        bare conditioning testbed: optional mask in arm 1,\n"
-        "              no other optics.\n"
-    )
+    """The ``biphoton scenarios`` listing: each name, then its lines."""
+    pad = "\n" + " " * 14
+    return "".join(f"{name:<14}{pad.join(s.about)}\n" for name, s in SCENARIOS.items())
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ Conventions
 -----------
 * ``Propagate(z, k_z)`` multiplies the wavevector representation by
   ``exp(-1j * k**2 * z / k_z)`` going forward and by the conjugate phase
-  going backward.  With ``half_factor=True`` the exponent carries the
-  conventional extra factor 1/2.  The constant phase ``exp(1j*z*k_z)`` is
-  dropped everywhere: it cancels in every modulus and every normalized
-  conditional.
+  going backward.  The textbook Fresnel phase at wavenumber ``k0``,
+  ``exp(-1j * k**2 * z / (2*k0))``, is ``Propagate(z, 2*k0)`` bit for bit:
+  doubling ``k_z`` and halving ``z`` are the same exact power-of-two
+  scaling.  The constant phase ``exp(1j*z*k_z)`` is dropped everywhere: it
+  cancels in every modulus and every normalized conditional.
 * ``FourierLens`` maps wavevector content onto the transverse axis: its
   forward action is the unitary transform with kernel ``exp(+1j*k*x)``
   (the centred inverse-DFT machinery applied to the sample vector), and
@@ -71,17 +72,12 @@ class Propagate:
 
     z: float
     k_z: float
-    half_factor: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.z):
             raise ValueError("propagation distance must be finite")
         if not np.isfinite(self.k_z) or self.k_z <= 0:
             raise ValueError("k_z must be positive and finite")
-
-    def phase_distance(self) -> float:
-        """Distance entering the quadratic phase (honours the 1/2 switch)."""
-        return self.z * (0.5 if self.half_factor else 1.0)
 
 
 @dataclass(frozen=True)
@@ -210,17 +206,16 @@ def _guard_propagation(e: Propagate, g: TransverseGrid) -> None:
     """Reject propagation whose quadratic phase is undersampled.
 
     The guard bounds the mean change of the quadratic phase per wavevector
-    sample across the band: ``k_max**2 * |z_p| / (k_z * n) < pi`` with
+    sample across the band: ``k_max**2 * |z| / (k_z * n) < pi`` with
     ``k_max = pi/dx``.  At fixed sample spacing the bound improves with n
     (a wider window); at fixed extent it gets worse (finer sampling raises
     ``k_max``).  The error therefore names the minimum ``grid.n`` together
     with the ``grid.extent`` that keeps the spacing.
     """
-    zp = abs(e.phase_distance())
     k_max = np.pi / g.dx
-    q = k_max**2 * zp / (e.k_z * g.n)
+    q = k_max**2 * abs(e.z) / (e.k_z * g.n)
     if q >= np.pi:
-        n_min = int(np.ceil(k_max**2 * zp / (e.k_z * np.pi)))
+        n_min = int(np.ceil(k_max**2 * abs(e.z) / (e.k_z * np.pi)))
         required = 1 << max(3, int(np.ceil(np.log2(n_min))))
         raise SamplingGuardError(
             f"propagation over z={e.z:g} is undersampled on n={g.n} "
@@ -249,7 +244,7 @@ class _SpectralPhaseOp:
         if e.z == 0.0:
             return v.copy()
         _guard_propagation(e, g)
-        ph = np.exp(sign * -1j * g.k**2 * e.phase_distance() / e.k_z)
+        ph = np.exp(sign * -1j * g.k**2 * e.z / e.k_z)
         return _idft_values(ph * _dft_values(v))
 
     def forward(self, v, g):

@@ -39,13 +39,15 @@ class ZeroOutcomeError(BiphotonError, ValueError):
 
 
 class ConfigError(BiphotonError, ValueError):
-    """Scenario configuration problem, with the offending line when known."""
+    """Scenario configuration problem, with the offending key and line when
+    known (``key`` and ``line`` attributes; the line prefixes the message)."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, key: str | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+        self.key = key
 
 
 class SweepError(BiphotonError, RuntimeError):

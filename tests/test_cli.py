@@ -32,7 +32,7 @@ class TestParseConfig:
         assert cfg.detector_shape == "gaussian" and cfg.detector_sigma == 0.1
         assert cfg.detector_x1 == (0.0,)
         assert cfg.mask_kind == "none"
-        assert cfg.fresnel_half_factor is False
+        assert cfg.output_stages is False
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# header\n\nk_z = 60.0  # inline\n")
@@ -60,8 +60,8 @@ class TestParseConfig:
             parse_config("f = -1.0\n")
         with pytest.raises(ConfigError, match="one of"):
             parse_config("detector.shape = pyramid\n")
-        with pytest.raises(ConfigError, match="table requires"):
-            parse_config("mask.kind = table\n")
+        with pytest.raises(ConfigError, match="^line 2: mask.kind = table requires"):
+            parse_config("f = 1.0\nmask.kind = table\n")
 
     def test_position_sweep_list(self):
         cfg = parse_config("detector.x1 = -1.0, 0.0, 1.0\n")
@@ -80,7 +80,7 @@ class TestParseConfig:
                 "mask.kind = double-slit\n"
                 "mask.width = 0.4\n"
                 "mask.separation = 2.0\n"
-                "fresnel_half_factor = true\n"
+                "k_z = 100.0\n"
             )
             cfg = parse_config(text)
             again = parse_config(serialize_config(cfg))
@@ -115,6 +115,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 1: unknown key 'output.format'"):
             parse_config("output.format = csv\n")
 
+    def test_removed_half_factor_is_an_unknown_key(self):
+        # the textbook z/2 phase is k_z doubled
+        with pytest.raises(
+            ConfigError, match="line 2: unknown key 'fresnel_half_factor'"
+        ):
+            parse_config("k_z = 100.0\nfresnel_half_factor = true\n")
+
+    def test_several_bad_lines_report_first_key_in_schema_order(self):
+        with pytest.raises(ConfigError, match="^line 2: grid.n: must be a power") as err:
+            parse_config("f = -1.0\ngrid.n = 500\n")
+        assert (err.value.key, err.value.line) == ("grid.n", 2)
+
     # near misses of real names: no fallback branch may take them
     @pytest.mark.parametrize(
         "field, key, bad",
@@ -127,6 +139,57 @@ class TestParseConfig:
     def test_config_built_in_code_rejects_unknown_choice(self, field, key, bad):
         with pytest.raises(ConfigError, match=f"^{key}: expected one of .*{bad!r}"):
             ScenarioConfig(**{field: bad})
+
+
+# one bad value per config key, as a config built in code might carry it
+BAD_VALUES = {
+    "scenario": "fourier2f",
+    "grid.n": 500,
+    "grid.extent": 0.0,
+    "k_z": -50.0,
+    "f": float("nan"),
+    "kappa": "wide",
+    "detector.shape": "Gaussian",
+    "detector.sigma": 0,
+    "detector.width": float("inf"),
+    "detector.x1": (),  # was a bare IndexError in build_setup
+    "mask.kind": "double_slit",
+    "mask.width": -1.0,  # was an all-zero slit
+    "mask.separation": np.float64(-2.0),
+    "mask.sigma": None,
+    "mask.file": "mask.csv  # a comment",
+    "output.path": "out\nmore",
+    "output.stages": "maybe",
+}
+
+
+class TestConfigBuiltInCode:
+    @pytest.mark.parametrize("key", list(_SCHEMA))
+    def test_bad_value_names_its_key(self, key):
+        attr, _ = _SCHEMA[key]
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: ") as err:
+            ScenarioConfig(**{attr: BAD_VALUES[key]})
+        assert err.value.key == key and err.value.line is None
+
+    def test_values_are_normalized_as_parsed(self):
+        cfg = ScenarioConfig(
+            n=np.int64(256),
+            k_z=100,
+            detector_sigma=np.float64(0.2),
+            detector_x1=[np.float64(-0.5), 0, 0.5],
+            output_stages="yes",
+        )
+        text = (
+            "grid.n = 256\nk_z = 100\ndetector.sigma = 0.2\n"
+            "detector.x1 = -0.5, 0, 0.5\noutput.stages = yes\n"
+        )
+        assert cfg == parse_config(text)
+        assert parse_config(serialize_config(cfg)) == cfg
+        assert "detector.sigma = 0.2\n" in serialize_config(cfg)
+        assert type(cfg.n) is int and type(cfg.k_z) is float
+        assert cfg.detector_x1 == (-0.5, 0.0, 0.5)
+        assert all(type(p) is float for p in cfg.detector_x1)
+        assert cfg.output_stages is True
 
 
 class TestBuildSetup:
@@ -187,10 +250,11 @@ class TestBuildSetup:
         path.write_text("0.5\n")
         with pytest.raises(ConfigError, match="^mask.file: .*1 rows; grid.n needs 64"):
             build_setup(cfg)
-        path.write_text("0.5\n0.5, oops\n")
-        bad_row = "^mask.file: bad row '0.5, oops' at line 2 "
-        with pytest.raises(ConfigError, match=bad_row):
-            build_setup(cfg)
+        for row in ("0.5, oops", "1,0,7"):
+            path.write_text(f"0.5\n{row}\n")
+            bad_row = f"^mask.file: bad row '{row}' at line 2 "
+            with pytest.raises(ConfigError, match=bad_row):
+                build_setup(cfg)
 
     @pytest.mark.parametrize("row", ["nan", "inf", "0.5, -inf", "-nan, 0.0"])
     def test_mask_table_rejects_non_finite_values(self, tmp_path, capsys, row):
@@ -491,6 +555,8 @@ class TestMainExitCodes:
         assert main(["scenarios"]) == 0
         out = capsys.readouterr().out
         assert "fig3-direct" in out and "fourier-2f" in out and "custom" in out
+        names = [line.split()[0] for line in out.splitlines() if not line[0].isspace()]
+        assert names == list(SCENARIOS)
 
 
 class TestVerify:
@@ -499,7 +565,7 @@ class TestVerify:
 
         setup = build_setup(parse_config(
             "grid.n = 256\ndetector.sigma = 0.2\nmask.kind = double-slit\n"
-            "fresnel_half_factor = true\n"
+            "k_z = 100.0\n"
         ))
         retro = run_retrodictive(setup).distribution
         oracle = conditional_from_joint(joint_for_setup(setup), 0.0)

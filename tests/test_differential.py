@@ -49,7 +49,6 @@ ELEMENTS = st.one_of(
         Propagate,
         z=st.floats(-20.0, 20.0),
         k_z=st.floats(10.0, 100.0),
-        half_factor=st.booleans(),
     ),
     st.just(FourierLens()),
     st.one_of(

@@ -170,12 +170,6 @@ class TestSingleElements:
         band = np.abs(dft(a).values) > 1e-6
         assert np.max(np.abs(ratio[band] - ref[band])) <= 1e-10
 
-    def test_half_factor_convention(self, grid16, rng):
-        f = random_field(grid16, rng)
-        a = apply_forward(Propagate(1.0, KZ, half_factor=True), f)
-        b = apply_forward(Propagate(0.5, KZ, half_factor=False), f)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-14)
-
     def test_quadratic_phase_is_pointwise_chirp(self, grid16, rng):
         f = random_field(grid16, rng)
         out = apply_forward(QuadraticPhase(F, KZ), f)
@@ -197,7 +191,7 @@ class TestAdjointness:
         "element",
         [
             Propagate(1.7, KZ),
-            Propagate(0.8, KZ, half_factor=True),
+            Propagate(0.8, 2 * KZ),
             FourierLens(),
             QuadraticPhase(3.0, KZ),
         ],

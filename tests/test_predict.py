@@ -54,7 +54,7 @@ class TestEvolveJoint:
             # compiles to spectral phase, quadratic phase, lens, mask and a
             # fused lens/propagation pair
             arm = (
-                Propagate(1.0, KZ, half_factor=True),
+                Propagate(1.0, 2 * KZ),
                 QuadraticPhase(F, KZ),
                 FourierLens(),
                 Mask(Field(g, t)),
