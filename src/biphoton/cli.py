@@ -195,7 +195,8 @@ class ScenarioConfig:
 
     Every value passes its key's parser, however the config is built, and
     is stored as parsed: ``k_z=100`` holds ``100.0``, ``detector_x1=[0.5]``
-    holds ``(0.5,)``.  ``extent = None`` resolves to the scenario's window.
+    holds ``(0.5,)``.  ``extent = None`` resolves to the scenario's window;
+    ``None`` for any other key is rejected.
     """
 
     scenario: str = _key("scenario", _choice(*SCENARIOS), "fig3-direct")
@@ -223,6 +224,8 @@ class ScenarioConfig:
             if fld.name == "extent" and v is None:
                 v = SCENARIOS[self.scenario].extent(self.n)  # both parsed by now
             try:
+                if v is None:  # would otherwise pass as the text 'None'
+                    raise ValueError("expected a value, got None")
                 object.__setattr__(self, fld.name, parse(_format_value(v)))
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}", key=key) from None

@@ -12,6 +12,12 @@ Its O(n^3) coincidence matmul runs as row blocks on every CPU in the
 process's affinity (``os.sched_getaffinity``): the calling thread takes
 one block and a thread pool made per call the others.  Grids below
 n = 512 stay one block.  The joint is bit-identical for any CPU count.
+
+It skips work whose result is exactly zero.  An opaque arm-1 mask zeroes
+whole columns of the pair amplitude, and a zero column stays zero through
+the linear ops: the rest of arm 1 and the product take only the live
+columns, and the joint keeps its bits.  With m live columns the cost is
+O(n^2 log n + n^2 m); with no opaque mask it is still O(n^3).
 """
 
 from __future__ import annotations
@@ -106,12 +112,24 @@ def evolve_joint(
     the FFTs read twice as fast as strided ones) and arm 2 on the result
     transposed back.  The two arms commute.  This is the one place that
     needs the source as a dense ``n x n`` matrix.
+
+    After each arm-1 op, all-zero rows of the stack are dropped: each op
+    is linear and acts on each row alone, so they would stay zero and the
+    rows kept keep their bits.  Arm 2 gets them back as zero columns.
     """
     g = B.grid
-    v = _transposed(B.values)
+    v, live = _transposed(B.values), np.arange(g.n)
     for op in compile_chain(arm1):
         v = op.forward(v, g)
-    v = _transposed(v)
+        keep = np.any(v != 0, axis=1)
+        if not keep.all():
+            v, live = v[keep], live[keep]
+    if len(live) == g.n:
+        v = _transposed(v)
+    else:
+        full = np.zeros((g.n, g.n), dtype=v.dtype)
+        full[:, live] = v.T
+        v = full
     for op in compile_chain(arm2):
         v = op.forward(v, g)
     v = _frozen(np.ascontiguousarray(v), (g.n, g.n), "biphoton values")
@@ -132,17 +150,33 @@ def joint_distribution(Psi: BiphotonField, detector1: DetectorProfile) -> JointD
     so the bits do not depend on the CPU count (``tests/test_predict.py``
     pins this).  The pool lives for one call only; a pool kept at module
     level would have no threads in a forked child.
+
+    Only the live (not all-zero) columns of ``Psi`` enter the product; the
+    rest of ``A`` is exact zeros.  Each column keeps the full product's
+    bits if there are at least two (one goes to the matrix-vector routine,
+    which rounds differently, so a lone live column gets a dead neighbour)
+    and the bank is real, as every ``DETECTOR_SHAPES`` profile is.  With a
+    complex bank, OpenBLAS's remainder kernel rounds the columns past the
+    last multiple of 4 differently (about 5e-16 relative), so a complex
+    detector profile may move the joint's last bits.
     """
     g, psi = Psi.grid, Psi.values
     bank = _detector_rows(detector1, g, g.x)
     np.conj(bank, out=bank)
-    A = np.empty_like(bank)
+    live = np.any(psi != 0, axis=0)
+    if np.count_nonzero(live) == 1:  # add a dead neighbour: see above
+        live[(np.argmax(live) + 1) % g.n] = True
+    A = np.zeros(bank.shape, dtype=bank.dtype)
+    sub = psi if live.all() else psi[:, live]
+    C = A if sub is psi else np.empty((g.n, sub.shape[1]), A.dtype)
     first, *rest = _row_blocks(g.n)
     with ThreadPoolExecutor(max(1, len(rest))) as pool:
-        done = [pool.submit(np.matmul, bank[s], psi, out=A[s]) for s in rest]
-        np.matmul(bank[first], psi, out=A[first])
+        done = [pool.submit(np.matmul, bank[s], sub, out=C[s]) for s in rest]
+        np.matmul(bank[first], sub, out=C[first])
         for f in done:
             f.result()
+    if C is not A:
+        A[:, live] = C
     A *= g.dx
     dens = np.abs(A)
     dens **= 2

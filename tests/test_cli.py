@@ -171,6 +171,13 @@ class TestConfigBuiltInCode:
             ScenarioConfig(**{attr: BAD_VALUES[key]})
         assert err.value.key == key and err.value.line is None
 
+    # grid.extent = None is the scenario's own window
+    @pytest.mark.parametrize("key", [k for k in _SCHEMA if k != "grid.extent"])
+    def test_none_names_its_key(self, key):
+        attr, _ = _SCHEMA[key]
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected a value, got None"):
+            ScenarioConfig(**{attr: None})
+
     def test_values_are_normalized_as_parsed(self):
         cfg = ScenarioConfig(
             n=np.int64(256),

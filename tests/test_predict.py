@@ -214,6 +214,105 @@ class TestBlockedMatmul:
         assert path.read_bytes() == here
 
 
+def _open_mask(g, open_at):
+    """A mask with unit-modulus phases at the indices ``open_at``, 0 elsewhere."""
+    t = np.zeros(g.n, dtype=complex)
+    t[list(open_at)] = np.exp(1j * np.linspace(0.0, 3.0, len(open_at)))
+    return Mask(Field(g, t))
+
+
+def _spy_on_ops(monkeypatch):
+    """Record the shape of every stack a compiled op of the oracle acts on."""
+    shapes = []
+
+    class Spy:
+        def __init__(self, op):
+            self.op = op
+
+        def forward(self, v, g):
+            shapes.append(v.shape)
+            return self.op.forward(v, g)
+
+    chain = predict.compile_chain
+    monkeypatch.setattr(predict, "compile_chain", lambda arm: [Spy(op) for op in chain(arm)])
+    return shapes
+
+
+# case -> (source, arm 1, arm 2, mask's open indices), arms in physical order
+SKIP_CASES = {
+    # both skips: dead rows leave arm 1 after the mask, then dead columns
+    # leave the product
+    "delta-arm1-mask": ("delta", ["mask", "lens", "propagate"], [], range(20, 46)),
+    # dense source: no row of arm 1 dies, the arm-2 mask kills columns
+    "dense-arm2-mask": ("dense", ["lens"], ["propagate", "mask"], range(20, 46)),
+    "one-live-column": ("delta", ["mask", "propagate"], [], (40,)),
+    "seven-live-columns": ("delta", ["mask", "propagate"], [], (3, 10, 11, 12, 30, 50, 63)),
+}
+
+
+def _skip_setup(g, rng, case):
+    source, arm1, arm2, open_at = SKIP_CASES[case]
+    elements = {
+        "mask": _open_mask(g, open_at),
+        "lens": FourierLens(),
+        "propagate": Propagate(0.5, KZ),
+    }
+    if source == "dense":
+        B = random_biphoton(g, rng)
+    else:
+        B = make_biphoton_delta_correlated(g, kappa=0.5)
+    return B, [elements[e] for e in arm1], [elements[e] for e in arm2], len(open_at)
+
+
+class TestZeroSkip:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("detector", sorted(DETECTORS))
+    @pytest.mark.parametrize("case", sorted(SKIP_CASES))
+    def test_bits_equal_the_dense_reference(
+        self, small_grid, rng, monkeypatch, cpus, detector, case
+    ):
+        g, det = small_grid, DETECTORS[detector]
+        B, arm1, arm2, live = _skip_setup(g, rng, case)
+        cols = np.stack(
+            [apply_chain_forward(arm1, Field(g, c)).values for c in B.values.T], axis=1
+        )
+        psi = np.stack([apply_chain_forward(arm2, Field(g, r)).values for r in cols])
+        A = g.dx * (np.conj(_detector_rows(det, g, g.x)) @ psi)
+        dens = np.abs(A) ** 2
+        dens /= float(dens.sum()) * g.dx**2
+
+        _affinity(monkeypatch, cpus)
+        monkeypatch.setattr(predict, "_MIN_BLOCK_ROWS", 2)
+        ops = _spy_on_ops(monkeypatch)
+        products = []
+        matmul = np.matmul
+
+        def spy(a, b, **kw):
+            products.append((a.shape, b.shape))
+            return matmul(a, b, **kw)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        J = joint_distribution(evolve_joint(B, arm1, arm2), det)
+        assert J.density.tobytes() == dens.tobytes()
+
+        # arm 1 after its mask sees only the live rows; the product only
+        # the live columns, and never fewer than two
+        if SKIP_CASES[case][0] == "delta":
+            assert ops[0] == (g.n, g.n) and len(ops) > 1
+            assert ops[1:] == [(live, g.n)] * (len(ops) - 1)
+        assert sorted({b for _, b in products}) == [(g.n, max(2, live))]
+        assert sum(a[0] for a, _ in products) == g.n
+
+    def test_all_zero_mask_is_dark(self, small_grid, monkeypatch):
+        g = small_grid
+        B = make_biphoton_delta_correlated(g, kappa=0.5)
+        arm1 = (_open_mask(g, ()), Propagate(0.5, KZ))
+        ops = _spy_on_ops(monkeypatch)
+        with pytest.raises(DarkConditionalError):
+            joint_distribution(evolve_joint(B, arm1, ()), DETECTORS["gaussian"])
+        assert ops == [(g.n, g.n), (0, g.n)]
+
+
 class TestConditionalAndMarginal:
     def test_conditional_of_product_equals_marginal(self, small_grid, rng):
         u = random_field(small_grid, rng)
