@@ -87,14 +87,14 @@ def _mask_values(cfg: ScenarioConfig, g) -> np.ndarray | None:
     return None if t is None else np.asarray(t(cfg, g), dtype=np.complex128)
 
 
-# arms(cfg) -> (arm 1 before the mask, in backward order; arm 2);
-# extent(n) -> the default grid.extent; about -> its `biphoton scenarios` lines
+# arms(cfg, mask) -> (arm 1 in backward order; arm 2), the 0- or 1-tuple mask
+# in its place; extent(n) -> default grid.extent; about -> `scenarios` lines
 _Scenario = namedtuple("_Scenario", "arms extent about")
 SCENARIOS = {
     # Backward traversal: focal propagation + lens, then the mask at the
     # crystal.  The crystal plane is read out directly in arm 2.
     "fig3-direct": _Scenario(
-        lambda c: ((Propagate(c.f, c.k_z), FourierLens()), ()),
+        lambda c, m: ((Propagate(c.f, c.k_z), FourierLens(), *m), ()),
         lambda n: 16.0,
         (
             "focal-plane detector arm backed off through a lens;",
@@ -102,10 +102,10 @@ SCENARIOS = {
             "Point detector + broad pump -> image |t(x)|^2.",
         ),
     ),
-    # Far-field detector in arm 1; arm 2 maps the crystal state's wavevector
+    # Far-field detector, then the mask at the crystal; arm 2 maps wavevector
     # content to position, at unit scale on the self-conjugate default window.
     "fourier-2f": _Scenario(
-        lambda c: ((FourierLens(),), (FourierLens(),)),
+        lambda c, m: ((FourierLens(), *m), (FourierLens(),)),
         lambda n: float(np.sqrt(2 * np.pi * n)),  # self-conjugate: dk == dx
         (
             "far-field detector arm; arm 2 maps wavevector",
@@ -114,7 +114,7 @@ SCENARIOS = {
         ),
     ),
     "custom": _Scenario(
-        lambda c: ((), ()),
+        lambda c, m: (m, ()),
         lambda n: 16.0,
         ("bare conditioning testbed: optional mask in arm 1,", "no other optics."),
     ),
@@ -296,9 +296,8 @@ def build_setup(cfg: ScenarioConfig) -> ImagingSetup:
     """Materialize a configuration into a runnable imaging setup."""
     g = make_grid(cfg.n, cfg.extent)
     tvals = _mask_values(cfg, g)
-    arm1, arm2 = SCENARIOS[cfg.scenario].arms(cfg)
-    if tvals is not None:
-        arm1 += (Mask(Field(g, tvals)),)
+    mask = () if tvals is None else (Mask(Field(g, tvals)),)
+    arm1, arm2 = SCENARIOS[cfg.scenario].arms(cfg, mask)
 
     # the config's kappa is the pump spot width, the library's 1/kappa; its
     # bounds are checked here so that the errors name the key the user set

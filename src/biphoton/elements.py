@@ -44,6 +44,7 @@ Conventions
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,8 @@ class FourierLens:
 
 @dataclass(frozen=True)
 class QuadraticPhase:
-    """Thin-lens phase factor ``exp(-1j * k_z * x**2 / (2*f))``."""
+    """Thin lens ``exp(-1j * k_z * x**2 / (4*f))``, ``k_z = 2*k0`` as in
+    :class:`Propagate`: a lens then ``Propagate(z, k_z)`` focuses at ``z = f``."""
 
     f: float
     k_z: float
@@ -99,7 +101,7 @@ class QuadraticPhase:
             raise ValueError("k_z must be positive and finite")
 
     def _chirp(self, g: TransverseGrid):
-        return np.exp(-1j * self.k_z * g.x**2 / (2.0 * self.f))
+        return np.exp(-1j * self.k_z * g.x**2 / (4.0 * self.f))
 
     def forward(self, v, g: TransverseGrid):
         return self._chirp(g) * v
@@ -128,8 +130,23 @@ class Mask:
     backward = forward
 
 
-# detector shape -> the parameter that sets its size
-DETECTOR_SHAPES = {"gaussian": "sigma", "tophat": "width", "point": None}
+# size: the DetectorProfile field that sets the width, if any; rows(size, g, c):
+# the unnormalized (m, n) profiles centred on the (m, 1) column c
+_DetectorShape = namedtuple("_DetectorShape", "size rows")
+DETECTOR_SHAPES = {
+    "gaussian": _DetectorShape(
+        "sigma",
+        lambda s, g, c: (1.0 / (np.pi * s**2)) ** 0.25
+        * np.exp(-((g.x - c) ** 2) / (2.0 * s**2)),
+    ),
+    "tophat": _DetectorShape("width", lambda s, g, c: np.abs(g.x - c) < s / 2.0),
+    # the grid-native delta: one sample at the nearest grid point
+    "point": _DetectorShape(
+        None,
+        lambda s, g, c: np.arange(g.n)
+        == np.intp([g.index_of(p) for p in c[:, 0].tolist()])[:, None],
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -154,7 +171,7 @@ class DetectorProfile:
             v = getattr(self, name)
             if not (math.isfinite(v) if v is not None else name != "center"):
                 raise ValueError(f"detector {name} must be finite, got {v!r}")
-        size = DETECTOR_SHAPES[self.shape]
+        size = DETECTOR_SHAPES[self.shape].size
         if size and (getattr(self, size) is None or getattr(self, size) <= 0):
             raise ValueError(f"{self.shape} detector needs {size} > 0")
 
@@ -162,12 +179,9 @@ class DetectorProfile:
 def materialize_detector(d: DetectorProfile, g: TransverseGrid) -> Field:
     """Sample a detector profile on the grid as an L2-normalized field.
 
-    The Gaussian case follows
-    ``(1/(pi*sigma**2))**0.25 * exp(-(x-x1)**2 / (2*sigma**2))`` at the
-    grid points, renormalized numerically so ``sum |a|^2 dx == 1`` holds
-    exactly even when the window clips the tails.  A point detector is the
-    grid-native delta: a single sample of height ``1/sqrt(dx)`` at the
-    nearest grid point.
+    The shape's ``DETECTOR_SHAPES`` rows, renormalized numerically so that
+    ``sum |a|^2 dx == 1`` holds exactly even when the window clips the
+    tails; a point detector is one sample of height ``1/sqrt(dx)``.
     """
     return Field(g, _detector_rows(d, g, [d.center])[0])
 
@@ -175,27 +189,19 @@ def materialize_detector(d: DetectorProfile, g: TransverseGrid) -> Field:
 def _detector_rows(d: DetectorProfile, g: TransverseGrid, centres) -> np.ndarray:
     """Row ``i``: :func:`materialize_detector` of ``d`` moved to ``centres[i]``."""
     c = np.asarray(centres, dtype=np.float64).reshape(-1, 1)
-    name = DETECTOR_SHAPES[d.shape]
-    if name is not None and getattr(d, name) < 2 * g.dx:
+    shape = DETECTOR_SHAPES[d.shape]
+    size = getattr(d, shape.size) if shape.size else None
+    if shape.size and size < 2 * g.dx:
         raise ValueError(
-            f"{d.shape} detector {name}={getattr(d, name):g} unresolvable: "
-            f"minimum is 2*dx = {2 * g.dx:g}; raise detector.{name}, or "
+            f"{d.shape} detector {shape.size}={size:g} unresolvable: "
+            f"minimum is 2*dx = {2 * g.dx:g}; raise detector.{shape.size}, or "
             f"grid.n at fixed grid.extent"
         )
-    if d.shape == "gaussian":
-        v = (1.0 / (np.pi * d.sigma**2)) ** 0.25 * np.exp(
-            -((g.x - c) ** 2) / (2.0 * d.sigma**2)
-        )
-    elif d.shape == "tophat":
-        v = (np.abs(g.x - c) < d.width / 2.0).astype(float)
-        if not np.all(np.any(v, axis=1)):
-            raise ValueError("tophat detector covers no grid point")
-    else:  # point
-        v = np.zeros((len(c), g.n))
-        v[np.arange(len(c)), [g.index_of(p) for p in c[:, 0]]] = 1.0
-    v = v.astype(np.complex128)
-    v /= np.sqrt(np.sum(np.abs(v) ** 2, axis=1, keepdims=True) * g.dx)
-    return v
+    v = shape.rows(size, g, c).astype(np.complex128)
+    norm = np.sqrt(np.sum(np.abs(v) ** 2, axis=1, keepdims=True) * g.dx)
+    if not np.all(norm > 0):
+        raise ValueError(f"{d.shape} detector covers no grid point")
+    return np.divide(v, norm, out=v)
 
 
 # ---------------------------------------------------------------------------

@@ -58,16 +58,10 @@ class BiphotonField:
     def project_arm1(self, a: np.ndarray) -> np.ndarray:
         """``dx * sum_i conj(a[i]) * B[i, :]``, by a dense product.
 
-        A stack is projected row by row: one vector-matrix product per row
-        gives a row the same bits alone or in a stack, which one batched
-        matrix product would not.
+        Each row is its own (1, n) @ (n, n) product, for the vector-matrix
+        routine: a row gets the same bits alone or in a stack.
         """
-        if a.ndim == 1:
-            return self.grid.dx * (np.conj(a) @ self.values)
-        out = np.empty(a.shape, dtype=np.complex128)
-        for i, row in enumerate(a):
-            out[i] = self.project_arm1(row)
-        return out
+        return self.grid.dx * (np.conj(a)[..., None, :] @ self.values)[..., 0, :]
 
 
 @dataclass(frozen=True, eq=False)

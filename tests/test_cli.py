@@ -217,6 +217,19 @@ class TestBuildSetup:
         vals = np.unique(np.abs(mask.t.values))
         assert set(np.round(vals, 12)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_the_scenario_places_the_mask_once(self, scenario):
+        cfg = ScenarioConfig(scenario=scenario, mask_kind="slit")
+        setup = build_setup(cfg)
+        arms = setup.arm1, setup.arm2
+        (mask,) = [e for arm in arms for e in arm if isinstance(e, Mask)]
+        assert arms == SCENARIOS[scenario].arms(cfg, (mask,))
+        # taking the mask out leaves the scenario's optics as they were
+        bare = tuple(tuple(e for e in arm if e is not mask) for arm in arms)
+        assert bare == SCENARIOS[scenario].arms(cfg, ())
+        # every built-in scenario puts its mask at the crystal, last in arm 1
+        assert arms[0][-1] is mask
+
     def test_fourier_scenario_defaults_to_self_conjugate_window(self):
         setup = build_setup(parse_config("scenario = fourier-2f\n"))
         g = setup.grid

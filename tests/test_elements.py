@@ -137,6 +137,39 @@ class TestDetectorRows:
         eye = np.eye(g.n, dtype=np.complex128) / np.sqrt(g.dx)
         assert rows.tobytes() == eye.tobytes()
 
+    # far off the window a profile has no sample, or only samples whose
+    # squares underflow; it must not be normalized by zero
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "det, error, match",
+        [
+            (
+                DetectorProfile("gaussian", 1e4, sigma=1.0),
+                ValueError,
+                "^gaussian detector covers no grid point$",
+            ),
+            (
+                DetectorProfile("gaussian", 40.0, sigma=1.0),
+                ValueError,
+                "^gaussian detector covers no grid point$",
+            ),
+            (
+                DetectorProfile("tophat", 1e4, width=1.0),
+                ValueError,
+                "^tophat detector covers no grid point$",
+            ),
+            (
+                DetectorProfile("point", 1e4),
+                GridError,
+                "^position 10000.0 lies outside the window$",
+            ),
+        ],
+        ids=["gaussian", "gaussian-underflow", "tophat", "point"],
+    )
+    def test_detector_off_the_grid_is_rejected(self, det, error, match):
+        with pytest.raises(error, match=match):
+            materialize_detector(det, make_grid(64, 16.0))
+
 
 class TestSingleElements:
     def test_unit_mask_is_identity(self, grid16, rng):
@@ -173,8 +206,22 @@ class TestSingleElements:
     def test_quadratic_phase_is_pointwise_chirp(self, grid16, rng):
         f = random_field(grid16, rng)
         out = apply_forward(QuadraticPhase(F, KZ), f)
-        ref = np.exp(-1j * KZ * grid16.x**2 / (2 * F)) * f.values
+        ref = np.exp(-1j * KZ * grid16.x**2 / (4 * F)) * f.values
         np.testing.assert_allclose(out.values, ref, atol=1e-14)
+
+    @pytest.mark.parametrize("f", [4.0, 2.5])
+    def test_quadratic_phase_focuses_at_f_behind_propagate(self, f):
+        # k_z means the same in both elements, so the focus lies at z = f
+        g = make_grid(4096, 64.0)
+        beam = Field(g, np.exp(-(g.x**2) / (2 * 3.0**2)))
+        lensed = apply_forward(QuadraticPhase(f, KZ), beam)
+        step = 0.01
+        zs = np.arange(0.5, 8.0, step)
+        peaks = [
+            np.max(np.abs(apply_forward(Propagate(z, KZ), lensed).values))
+            for z in zs
+        ]
+        assert abs(zs[int(np.argmax(peaks))] - f) <= step
 
     def test_sampling_guard_names_minimum_n(self):
         g = make_grid(64, 16.0)
