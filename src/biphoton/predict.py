@@ -8,15 +8,18 @@ row normalization.  It is deliberately assumption-free (dense tables,
 nearest-row conditioning) and serves as the independent ground truth for
 the detection-first pipeline.
 
-Its O(n^3) coincidence matmul runs as row blocks on every CPU in the
-process's affinity (``os.sched_getaffinity``): the calling thread takes
-one block and a thread pool made per call the others.  Grids below
-n = 512 stay one block.  The joint is bit-identical for any CPU count.
+It builds the joint in blocks of 256 rows, a thread per CPU in the
+process's affinity (``os.sched_getaffinity``).  A block samples its rows
+of the detector bank and squares its rows of the coincidence amplitude
+into the density, so no n x n bank or amplitude exists: the memory is the
+pair amplitude plus the density.  Its bits do not depend on the CPUs.
 
 It skips work whose result is exactly zero.  An opaque arm-1 mask zeroes
 whole columns of the pair amplitude, and a zero column stays zero through
 the linear ops: the rest of arm 1 and the product take only the live
-columns, and the joint keeps its bits.  With m live columns the cost is
+columns, and the joint keeps its bits.  A delta-correlated source enters
+as its pump: a leading arm-1 mask acts on the pump, and only the columns
+it leaves open are built.  With m live columns the cost is
 O(n^2 log n + n^2 m); with no opaque mask it is still O(n^3).
 """
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import DetectorProfile, Mask, _detector_rows, compile_chain
+from .elements import DetectorProfile, Mask, QuadraticPhase, _detector_rows, compile_chain
 from .errors import DarkConditionalError
 from .grid import Field, TransverseGrid, _frozen, _unchecked
 from .retrodict import DARK_WEIGHT, ConditionalDistribution, ImagingSetup
@@ -83,21 +86,8 @@ def _cpus() -> int:
 
 
 # At least 2: a one-row product goes to the matrix-vector routine, which
-# rounds differently from the matrix product.
+# rounds differently.  n is a power of two, so no block is shorter.
 _MIN_BLOCK_ROWS = 256
-
-
-def _row_blocks(n: int) -> list[slice]:
-    """Row blocks of the n-row coincidence product: one per CPU, each of at
-    least ``_MIN_BLOCK_ROWS`` rows, so grids below n = 512 stay one block.
-
-    A smaller block finishes before a fresh thread repays its start (its
-    first BLAS call costs a few milliseconds more than later ones): at
-    n = 256 two blocks took longer than one.
-    """
-    k = max(1, min(_cpus(), n // _MIN_BLOCK_ROWS))
-    edges = [n * i // k for i in range(k + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def evolve_joint(
@@ -110,15 +100,27 @@ def evolve_joint(
     Compiled ops act on the last axis of a row stack, so arm 1 runs on a
     C-contiguous transposed copy (its columns as contiguous rows, which
     the FFTs read twice as fast as strided ones) and arm 2 on the result
-    transposed back.  The two arms commute.  This is the one place that
-    needs the source as a dense ``n x n`` matrix.
+    transposed back.  The two arms commute.
+
+    A delta-correlated source is diagonal, its own transpose, and leading
+    pointwise (``Mask``, ``QuadraticPhase``) arm-1 elements keep it so:
+    they act on the pump, and only the rows it leaves nonzero are built,
+    with the dense path's bits except that no zero is -0.
 
     After each arm-1 op, all-zero rows of the stack are dropped: each op
     is linear and acts on each row alone, so they would stay zero and the
     rows kept keep their bits.  Arm 2 gets them back as zero columns.
     """
-    g = B.grid
-    v, live = _transposed(B.values), np.arange(g.n)
+    g, arm1 = B.grid, list(arm1)
+    if isinstance(B, DeltaCorrelatedSource):
+        pump = B.pump
+        while arm1 and isinstance(arm1[0], (Mask, QuadraticPhase)):
+            pump = arm1.pop(0).forward(pump, g)
+        live = np.flatnonzero(pump)
+        v = np.zeros((live.size, g.n), dtype=np.complex128)
+        v[np.arange(live.size), live] = pump[live]
+    else:
+        v, live = _transposed(B.values), np.arange(g.n)
     for op in compile_chain(arm1):
         v = op.forward(v, g)
         keep = np.any(v != 0, axis=1)
@@ -143,47 +145,52 @@ def joint_distribution(Psi: BiphotonField, detector1: DetectorProfile) -> JointD
     ``A(x1, x2) = dx * sum_x conj(a_x1(x)) Psi(x, x2)``; arm-2 detection is
     pointwise.  The squared modulus is normalized over both coordinates.
 
-    The O(n^3) product runs as row blocks of ``A`` (:func:`_row_blocks`),
-    each one matrix product into its slice of ``A``: the calling thread
-    takes the first block and a thread pool the rest.  The BLAS computes a
-    row of a product by the same operations whichever rows share its call,
-    so the bits do not depend on the CPU count (``tests/test_predict.py``
-    pins this).  The pool lives for one call only; a pool kept at module
-    level would have no threads in a forked child.
+    A block of ``_MIN_BLOCK_ROWS`` rows samples its rows of the detector
+    bank and squares its rows of ``A`` into the density, so the bank and
+    ``A`` exist a block at a time.  Blocks run on a pool of a thread per
+    CPU, at most one per block, made for this call (a pool kept at module
+    level would have no threads in a forked child), or inline if one.  The BLAS computes a
+    row of a product by the same operations whichever rows share its
+    call, so the bits do not depend on the CPU count
+    (``tests/test_predict.py`` pins this).  One sum over the whole table
+    normalizes it.
 
     Only the live (not all-zero) columns of ``Psi`` enter the product; the
-    rest of ``A`` is exact zeros.  Each column keeps the full product's
-    bits if there are at least two (one goes to the matrix-vector routine,
-    which rounds differently, so a lone live column gets a dead neighbour)
-    and the bank is real, as every ``DETECTOR_SHAPES`` profile is.  With a
-    complex bank, OpenBLAS's remainder kernel rounds the columns past the
-    last multiple of 4 differently (about 5e-16 relative), so a complex
-    detector profile may move the joint's last bits.
+    rest of the density is exact zeros.  Each column keeps the full
+    product's bits if there are at least two (one goes to the
+    matrix-vector routine, which rounds differently, so a lone live column
+    gets a dead neighbour) and the bank is real, as every
+    ``DETECTOR_SHAPES`` profile is.  With a complex bank, OpenBLAS's
+    remainder kernel rounds the columns past the last multiple of 4
+    differently (about 5e-16 relative), so a complex detector profile may
+    move the joint's last bits.
     """
     g, psi = Psi.grid, Psi.values
-    bank = _detector_rows(detector1, g, g.x)
-    np.conj(bank, out=bank)
     live = np.any(psi != 0, axis=0)
     if np.count_nonzero(live) == 1:  # add a dead neighbour: see above
         live[(np.argmax(live) + 1) % g.n] = True
-    A = np.zeros(bank.shape, dtype=bank.dtype)
-    sub = psi if live.all() else psi[:, live]
-    C = A if sub is psi else np.empty((g.n, sub.shape[1]), A.dtype)
-    first, *rest = _row_blocks(g.n)
-    with ThreadPoolExecutor(max(1, len(rest))) as pool:
-        done = [pool.submit(np.matmul, bank[s], sub, out=C[s]) for s in rest]
-        np.matmul(bank[first], sub, out=C[first])
-        for f in done:
-            f.result()
-    if C is not A:
-        A[:, live] = C
-    A *= g.dx
-    dens = np.abs(A)
-    dens **= 2
+    cols = slice(None) if live.all() else live
+    sub = psi[:, cols]
+    dens = np.zeros((g.n, g.n))
+
+    def block(rows: slice) -> None:
+        bank = _detector_rows(detector1, g, g.x[rows])
+        a = np.matmul(np.conj(bank, out=bank), sub)
+        a *= g.dx
+        dens[rows, cols] = np.abs(a) ** 2
+
+    blocks = [slice(i, i + _MIN_BLOCK_ROWS) for i in range(0, g.n, _MIN_BLOCK_ROWS)]
+    workers = min(_cpus(), len(blocks))
+    if workers == 1:
+        for rows in blocks:
+            block(rows)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(block, blocks))
     total = float(dens.sum())
     if total < DARK_WEIGHT:
         raise DarkConditionalError("joint distribution carries no weight")
-    dens /= total * g.dx**2
+    dens[:, cols] /= total * g.dx**2
     dens = _frozen(dens, (g.n, g.n), "density")
     return _unchecked(JointDistribution, grid=g, density=dens, detector1=detector1)
 

@@ -17,8 +17,8 @@ them):
   diagonal, so building and conditioning are O(n): the conditioned state
   is the pump times the conjugated, back-propagated detector profile.
   Its dense matrix is built anew on each read of ``values`` and not
-  kept: the source holds O(n) for as long as it lives.  Only the forward
-  oracle (:func:`biphoton.predict.evolve_joint`) reads it, once a call.
+  kept: the source holds O(n) for as long as it lives.  The package never
+  reads it; the forward oracle starts from the pump as well.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ class DeltaCorrelatedSource:
     @property
     def values(self) -> np.ndarray:
         """Dense ``n x n`` amplitude (read-only), built anew on each read
-        (16 n^2 bytes, 1 GiB at n = 8192) and not kept."""
+        (16 n^2 bytes, 1 GiB at n = 8192) and not kept.  For callers such
+        as the benchmark: the package itself reads only ``pump``."""
         return _readonly(np.diag(self.pump))
 
     @property

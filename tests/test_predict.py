@@ -1,6 +1,7 @@
 """Forward oracle: joint evolution, Bayes conditioning, marginals."""
 
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from biphoton import (
     mutual_information_bits,
     run_retrodictive,
 )
-from biphoton import predict
+from biphoton import cli, predict
 from biphoton.elements import _detector_rows, apply_chain_forward
 from conftest import random_field
 
@@ -69,6 +70,22 @@ class TestEvolveJoint:
         rows = np.stack([apply_chain_forward(arm, Field(g, r)).values for r in B.values])
         assert evolve_joint(B, arm, ()).values.tobytes() == cols.tobytes()
         assert evolve_joint(B, (), arm).values.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_delta_pump_path_equals_the_dense_source(self, n):
+        # the chirp and the complex mask act on the pump alone; the dense
+        # path's off-diagonal zero products hold -0 where the pump path
+        # holds +0, which array_equal allows and the joint cannot see
+        g = make_grid(n, n / 4)
+        B = make_biphoton_delta_correlated(g, kappa=0.5)
+        t = np.exp(1j * np.sin(1.3 * g.x)) * (np.abs(g.x) < 3)
+        arm1 = (QuadraticPhase(F, KZ), Mask(Field(g, t)))
+        pump = evolve_joint(B, arm1, ())
+        dense = evolve_joint(BiphotonField(g, B.values), arm1, ())
+        assert np.array_equal(pump.values, dense.values)
+        det = DETECTORS["gaussian"]
+        J = joint_distribution(pump, det).density.tobytes()
+        assert J == joint_distribution(dense, det).density.tobytes()
 
     def test_separable_amplitude_factorizes(self, small_grid, rng):
         u = random_field(small_grid, rng)
@@ -138,6 +155,31 @@ def _affinity(monkeypatch, cpus):
     )
 
 
+def _spy_on_blocks(monkeypatch):
+    """Record the centres of every detector-bank block and the size of
+    every thread pool the oracle asks for."""
+    centres, pools = [], []
+    rows, pool = predict._detector_rows, predict.ThreadPoolExecutor
+
+    def rows_spy(d, g, c):
+        centres.append(np.array(c))
+        return rows(d, g, c)
+
+    def pool_spy(workers):
+        pools.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(predict, "_detector_rows", rows_spy)
+    monkeypatch.setattr(predict, "ThreadPoolExecutor", pool_spy)
+    return centres, pools
+
+
+def _assert_blocks_tile(centres, g):
+    # no block over _MIN_BLOCK_ROWS centres, and every centre exactly once
+    assert all(len(c) <= predict._MIN_BLOCK_ROWS for c in centres)
+    assert np.array_equal(np.sort(np.concatenate(centres)), g.x)
+
+
 class TestBlockedMatmul:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5, 64])
     @pytest.mark.parametrize("detector", sorted(DETECTORS))
@@ -145,51 +187,53 @@ class TestBlockedMatmul:
     def test_bits_equal_the_serial_product(
         self, small_grid, rng, monkeypatch, cpus, detector, source
     ):
-        # blocks down to two rows: 64 rows split unevenly into 3 or 5
-        # blocks, and 64 CPUs get 32 blocks
+        # blocks of two rows: 32 blocks on 1, 2, 3, 5 or 64 CPUs
         g = small_grid
         if source == "dense":
             Psi = random_biphoton(g, rng)
         else:
             Psi = make_biphoton_delta_correlated(g, kappa=0.5)
         det = DETECTORS[detector]
-        _affinity(monkeypatch, cpus)
-        monkeypatch.setattr(predict, "_MIN_BLOCK_ROWS", 2)
-        seen = []
-        blocks = predict._row_blocks
-        monkeypatch.setattr(
-            predict, "_row_blocks", lambda n: seen.append(blocks(n)) or seen[-1]
-        )
         A = g.dx * (np.conj(_detector_rows(det, g, g.x)) @ Psi.values)
         dens = np.abs(A) ** 2
         dens /= float(dens.sum()) * g.dx**2
+        _affinity(monkeypatch, cpus)
+        monkeypatch.setattr(predict, "_MIN_BLOCK_ROWS", 2)
+        centres, pools = _spy_on_blocks(monkeypatch)
         J = joint_distribution(Psi, det)
-        assert [len(b) for b in seen] == [min(cpus, g.n // 2)]
         assert J.density.tobytes() == dens.tobytes()
+        _assert_blocks_tile(centres, g)
+        assert pools == ([] if cpus == 1 else [min(cpus, g.n // 2)])
 
     @pytest.mark.parametrize(
         "cpus, n, sizes",
         [
             (5, 256, [256]),
             (5, 512, [256, 256]),
-            (5, 2048, [409, 410, 409, 410, 410]),
-            (1, 2048, [2048]),
+            (5, 2048, [256] * 8),
+            (1, 2048, [256] * 8),
         ],
     )
     def test_row_blocks_tile_the_rows(self, monkeypatch, cpus, n, sizes):
-        # one block per CPU, none under 256 rows
+        # fixed blocks of 256 rows, on one thread per CPU and at most one
+        # per block; one thread runs inline, with no pool
+        g = make_grid(n, n / 32)
+        B = make_biphoton_delta_correlated(g, kappa=0.5)
+        Psi = evolve_joint(B, (_open_mask(g, (n // 2, n // 2 + 9)),), ())
         _affinity(monkeypatch, cpus)
-        blocks = predict._row_blocks(n)
-        assert [s.stop - s.start for s in blocks] == sizes
-        assert blocks[0].start == 0 and blocks[-1].stop == n
-        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        centres, pools = _spy_on_blocks(monkeypatch)
+        joint_distribution(Psi, DetectorProfile("gaussian", sigma=0.1))
+        assert [len(c) for c in centres] == sizes
+        _assert_blocks_tile(centres, g)
+        workers = min(cpus, len(sizes))
+        assert pools == ([] if workers == 1 else [workers])
 
     def test_oracle_runs_in_a_forked_child(self, tmp_path, monkeypatch):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
         # two blocks, so that the child's product goes through a pool
         _affinity(monkeypatch, 2)
-        monkeypatch.setattr(predict, "_MIN_BLOCK_ROWS", 2)
+        monkeypatch.setattr(predict, "_MIN_BLOCK_ROWS", 128)
         g = make_grid(256, 16.0)
         setup = ImagingSetup(
             grid=g,
@@ -212,6 +256,32 @@ class TestBlockedMatmul:
                 child.kill()
                 child.join()
         assert path.read_bytes() == here
+
+
+class TestMemory:
+    @pytest.mark.parametrize("mask, bound", [("double-slit", 2.5), ("none", 4.01)])
+    def test_peak_of_the_oracle(self, monkeypatch, mask, bound):
+        # the benchmark's oracle-verify scenario at n = 1024 on two CPUs,
+        # each of whose threads holds one block of the bank; the peak in
+        # units of one n x n complex table.  With the double slit it is
+        # Psi, the density and the blocks; with no mask, evolve_joint's
+        # four n x n tables (plus vectors of n)
+        n = 1024
+        setup = cli.build_setup(
+            cli.parse_config(
+                f"grid.n = {n}\ngrid.extent = {n / 32!r}\nkappa = 8\n"
+                f"detector.sigma = 0.1\nmask.kind = {mask}\n"
+                f"mask.width = 0.4\nmask.separation = 2.0\n"
+            )
+        )
+        _affinity(monkeypatch, 2)
+        tracemalloc.start()
+        try:
+            joint_for_setup(setup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 16 * n**2
 
 
 def _open_mask(g, open_at):
@@ -295,11 +365,11 @@ class TestZeroSkip:
         J = joint_distribution(evolve_joint(B, arm1, arm2), det)
         assert J.density.tobytes() == dens.tobytes()
 
-        # arm 1 after its mask sees only the live rows; the product only
-        # the live columns, and never fewer than two
+        # a delta source's leading mask acts on its pump, so every arm-1 op
+        # sees only the live rows; the product only the live columns, and
+        # never fewer than two
         if SKIP_CASES[case][0] == "delta":
-            assert ops[0] == (g.n, g.n) and len(ops) > 1
-            assert ops[1:] == [(live, g.n)] * (len(ops) - 1)
+            assert ops and ops == [(live, g.n)] * len(ops)
         assert sorted({b for _, b in products}) == [(g.n, max(2, live))]
         assert sum(a[0] for a, _ in products) == g.n
 
@@ -310,7 +380,7 @@ class TestZeroSkip:
         ops = _spy_on_ops(monkeypatch)
         with pytest.raises(DarkConditionalError):
             joint_distribution(evolve_joint(B, arm1, ()), DETECTORS["gaussian"])
-        assert ops == [(g.n, g.n), (0, g.n)]
+        assert ops == [(0, g.n)]
 
 
 class TestConditionalAndMarginal:
