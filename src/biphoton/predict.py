@@ -14,13 +14,13 @@ of the detector bank and squares its rows of the coincidence amplitude
 into the density, so no n x n bank or amplitude exists: the memory is the
 pair amplitude plus the density.  Its bits do not depend on the CPUs.
 
-It skips work whose result is exactly zero.  An opaque arm-1 mask zeroes
-whole columns of the pair amplitude, and a zero column stays zero through
-the linear ops: the rest of arm 1 and the product take only the live
-columns, and the joint keeps its bits.  A delta-correlated source enters
-as its pump: a leading arm-1 mask acts on the pump, and only the columns
-it leaves open are built.  With m live columns the cost is
-O(n^2 log n + n^2 m); with no opaque mask it is still O(n^3).
+It skips work whose result is exactly zero, by two rules, and the joint
+keeps its bits.  A delta-correlated source enters as its pump: leading
+pointwise arm-1 elements act on the pump alone, and its dead entries
+never become rows of the evolution.  The all-zero columns of the evolved
+pair amplitude (an opaque mask in either arm leaves them) never enter the
+product; the density holds exact zeros there.  With m live columns the
+cost is O(n^2 log n + n^2 m); with no opaque mask it is still O(n^3).
 """
 
 from __future__ import annotations
@@ -67,7 +67,13 @@ def _transposed(a: np.ndarray) -> np.ndarray:
     """``np.ascontiguousarray(a.T)``, the same bytes, copied tile by tile.
 
     A 64 x 64 complex tile and its image both stay in cache, which halves
-    the cost of the strided whole-matrix copy at n = 2048.
+    the cost of the strided whole-matrix copy at n = 2048.  It is also
+    why ``evolve_joint`` leaves arm 1 through it when every row is live
+    rather than through the zero-filled scatter that a pump with dead
+    entries needs: this copy, the scatter and ``np.ascontiguousarray``
+    took 34 / 94 / 69 ms at n = 2048 and 202 / 549 / 433 ms at n = 4096
+    (2 vCPUs, numpy 2.4.6, one OpenBLAS thread), with the same memory.
+    The bytes are the same either way, so only the time tells them apart.
     """
     t = 64
     out = np.empty(a.shape[::-1], dtype=a.dtype)
@@ -106,10 +112,6 @@ def evolve_joint(
     pointwise (``Mask``, ``QuadraticPhase``) arm-1 elements keep it so:
     they act on the pump, and only the rows it leaves nonzero are built,
     with the dense path's bits except that no zero is -0.
-
-    After each arm-1 op, all-zero rows of the stack are dropped: each op
-    is linear and acts on each row alone, so they would stay zero and the
-    rows kept keep their bits.  Arm 2 gets them back as zero columns.
     """
     g, arm1 = B.grid, list(arm1)
     if isinstance(B, DeltaCorrelatedSource):
@@ -123,9 +125,6 @@ def evolve_joint(
         v, live = _transposed(B.values), np.arange(g.n)
     for op in compile_chain(arm1):
         v = op.forward(v, g)
-        keep = np.any(v != 0, axis=1)
-        if not keep.all():
-            v, live = v[keep], live[keep]
     if len(live) == g.n:
         v = _transposed(v)
     else:

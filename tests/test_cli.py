@@ -198,6 +198,34 @@ class TestConfigBuiltInCode:
         assert all(type(p) is float for p in cfg.detector_x1)
         assert cfg.output_stages is True
 
+    def test_bool_and_float_values_serialize_as_parsed(self):
+        # a bool is written lower case; a numpy float keeps every digit of
+        # its float value, not numpy's shortest text for its own width
+        cfg = ScenarioConfig(output_stages=True, detector_sigma=np.float32(0.1))
+        assert cfg.detector_sigma == float(np.float32(0.1)) != 0.1
+        text = serialize_config(cfg)
+        assert "output.stages = true\n" in text
+        assert f"detector.sigma = {float(np.float32(0.1))!r}\n" in text
+        assert parse_config(text) == cfg
+
+    def test_help_lists_the_choices_of_each_choice_key(self, capsys):
+        # e.g. "  scenario = fig3-direct   # fig3-direct | fourier-2f | custom";
+        # a key with no choices gets no comment
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        lines = {
+            line.split(" = ")[0].strip(): line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")
+        }
+        for key, table in (
+            ("scenario", SCENARIOS),
+            ("detector.shape", DETECTOR_SHAPES),
+            ("mask.kind", MASK_KINDS),
+        ):
+            assert lines[key].endswith(f"# {' | '.join(table)}"), key
+        assert lines["grid.n"] == "  grid.n = 512"
+
 
 class TestBuildSetup:
     def test_fig3_no_mask_has_two_arm1_elements(self):
@@ -326,6 +354,26 @@ class TestRunEmission:
             "conditional_x1_+1.0000.csv",
             "conditional_x1_-1.0000.csv",
         ]
+
+    def test_output_path_and_its_overrides(self, tmp_path, capsys):
+        # output.path is where a run writes; out_dir, and --out on the
+        # command line, write elsewhere and leave output.path untouched
+        by_path = tmp_path / "by-path"
+        text = f"grid.n = 256\ndetector.sigma = 0.2\noutput.path = {by_path}\n"
+        cfg = parse_config(text)
+        assert run(cfg) == [by_path / "conditional.csv"]
+        expected = (by_path / "conditional.csv").read_bytes()
+        (by_path / "conditional.csv").unlink()
+        written = run(cfg, out_dir=str(tmp_path / "by-arg"))
+        assert written == [tmp_path / "by-arg" / "conditional.csv"]
+        assert written[0].read_bytes() == expected
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(text)
+        out = tmp_path / "by-flag"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out / 'conditional.csv'}\n"
+        assert (out / "conditional.csv").read_bytes() == expected
+        assert list(by_path.iterdir()) == []
 
     def test_stage_emission(self, tmp_path):
         cfg = parse_config(
@@ -625,6 +673,24 @@ class TestVerify:
         assert main(["verify", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_failed_check_is_exit_3(self, monkeypatch, capsys):
+        from biphoton import cli
+
+        # a check prints its detail in brackets, and only if it has one
+        checks = [
+            cli._check("fine", 0.001, 0.01),
+            cli._check("planted", 0.02, 0.01, detail="what went wrong"),
+        ]
+        monkeypatch.setattr(cli, "verify_report", lambda fast=False: checks)
+        assert main(["verify"]) == 3
+        passed, failed, last = capsys.readouterr().out.splitlines()
+        assert passed == "PASS  fine: 1.000e-03 (threshold <= 0.01, margin +9.000e-03)"
+        assert failed == (
+            "FAIL  planted: 2.000e-02 (threshold <= 0.01, margin -1.000e-02)"
+            "  [what went wrong]"
+        )
+        assert last.startswith("verify FAILED in ")
 
     def test_report_prints_stored_direction_and_margin(self, capsys):
         from biphoton.cli import _check, _print_report

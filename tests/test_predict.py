@@ -283,6 +283,29 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= bound * 16 * n**2
 
+    def test_peak_of_the_joint_alone(self, monkeypatch):
+        # joint_distribution on the no-mask oracle-verify scenario at
+        # n = 1024 on two CPUs: the density plus a bank block per thread,
+        # 1.63 x 16n^2.  Every column is live, and a boolean column index
+        # would copy Psi whole (2.63)
+        n = 1024
+        setup = cli.build_setup(
+            cli.parse_config(
+                f"grid.n = {n}\ngrid.extent = {n / 32!r}\nkappa = 8\n"
+                "detector.sigma = 0.1\n"
+            )
+        )
+        arm1 = predict.forward_arm1_chain(setup.arm1)
+        Psi = evolve_joint(setup.source, arm1, setup.arm2)
+        _affinity(monkeypatch, 2)
+        tracemalloc.start()
+        try:
+            joint_distribution(Psi, setup.detector1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * 16 * n**2
+
 
 def _open_mask(g, open_at):
     """A mask with unit-modulus phases at the indices ``open_at``, 0 elsewhere."""
@@ -310,9 +333,12 @@ def _spy_on_ops(monkeypatch):
 
 # case -> (source, arm 1, arm 2, mask's open indices), arms in physical order
 SKIP_CASES = {
-    # both skips: dead rows leave arm 1 after the mask, then dead columns
-    # leave the product
+    # both rules: the mask acts on the pump, whose dead entries never
+    # become rows, then dead columns leave the product
     "delta-arm1-mask": ("delta", ["mask", "lens", "propagate"], [], range(20, 46)),
+    # the same pair amplitude held dense: the mask kills whole rows of
+    # arm 1, which evolve as zeros and leave the product as dead columns
+    "diagonal-arm1-mask": ("diagonal", ["mask", "lens", "propagate"], [], range(20, 46)),
     # dense source: no row of arm 1 dies, the arm-2 mask kills columns
     "dense-arm2-mask": ("dense", ["lens"], ["propagate", "mask"], range(20, 46)),
     "one-live-column": ("delta", ["mask", "propagate"], [], (40,)),
@@ -329,6 +355,8 @@ def _skip_setup(g, rng, case):
     }
     if source == "dense":
         B = random_biphoton(g, rng)
+    elif source == "diagonal":
+        B = BiphotonField(g, make_biphoton_delta_correlated(g, kappa=0.5).values)
     else:
         B = make_biphoton_delta_correlated(g, kappa=0.5)
     return B, [elements[e] for e in arm1], [elements[e] for e in arm2], len(open_at)
