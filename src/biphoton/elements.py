@@ -130,21 +130,31 @@ class Mask:
     backward = forward
 
 
-# size: the DetectorProfile field that sets the width, if any; rows(size, g, c):
-# the unnormalized (m, n) profiles centred on the (m, 1) column c
-_DetectorShape = namedtuple("_DetectorShape", "size rows")
+# size: the DetectorProfile field that sets the width, if any; rows(size, g,
+# c, cols): the unnormalized profiles centred on the (m, 1) column c, sampled
+# on g.x[cols]; reach(size, g): the support half-width, past which a row is
+# exactly 0 (the oracle samples and multiplies only that band of a row)
+_DetectorShape = namedtuple("_DetectorShape", "size rows reach")
 DETECTOR_SHAPES = {
     "gaussian": _DetectorShape(
         "sigma",
-        lambda s, g, c: (1.0 / (np.pi * s**2)) ** 0.25
-        * np.exp(-((g.x - c) ** 2) / (2.0 * s**2)),
+        lambda s, g, c, cols: (1.0 / (np.pi * s**2)) ** 0.25
+        * np.exp(-((g.x[cols] - c) ** 2) / (2.0 * s**2)),
+        # exp(-t) underflows to +0 for t > 745.14
+        lambda s, g: s * math.sqrt(2 * 746),
     ),
-    "tophat": _DetectorShape("width", lambda s, g, c: np.abs(g.x - c) < s / 2.0),
-    # the grid-native delta: one sample at the nearest grid point
+    "tophat": _DetectorShape(
+        "width",
+        lambda s, g, c, cols: np.abs(g.x[cols] - c) < s / 2.0,
+        lambda s, g: s / 2.0,
+    ),
+    # the grid-native delta: one sample at the nearest grid point, which
+    # lies within dx/2 of the centre (dx bounds the rounding of c/dx too)
     "point": _DetectorShape(
         None,
-        lambda s, g, c: np.arange(g.n)
+        lambda s, g, c, cols: np.arange(g.n)[cols]
         == np.intp([g.index_of(p) for p in c[:, 0].tolist()])[:, None],
+        lambda s, g: g.dx,
     ),
 }
 
@@ -186,22 +196,47 @@ def materialize_detector(d: DetectorProfile, g: TransverseGrid) -> Field:
     return Field(g, _detector_rows(d, g, [d.center])[0])
 
 
-def _detector_rows(d: DetectorProfile, g: TransverseGrid, centres) -> np.ndarray:
-    """Row ``i``: :func:`materialize_detector` of ``d`` moved to ``centres[i]``."""
+def _detector_size(d: DetectorProfile):
+    size = DETECTOR_SHAPES[d.shape].size
+    return getattr(d, size) if size else None
+
+
+def _detector_reach(d: DetectorProfile, g: TransverseGrid) -> float:
+    """Support half-width of ``d``'s rows: past it from its centre a row is 0."""
+    return DETECTOR_SHAPES[d.shape].reach(_detector_size(d), g)
+
+
+def _detector_rows(
+    d: DetectorProfile, g: TransverseGrid, centres, cols: slice = slice(None)
+) -> np.ndarray:
+    """Row ``i``: :func:`materialize_detector` of ``d`` moved to ``centres[i]``,
+    on the columns ``cols`` of the grid.
+
+    The shape is evaluated on ``g.x[cols]`` alone, but each row's norm is
+    still the pairwise sum over all n columns: the window's squares are
+    padded with zeros, so the sum has the full row's tree.  A window that
+    holds every row's support (:func:`_detector_reach`) therefore gives
+    the full rows' columns bit for bit.  The profile is real; it is scaled
+    by ``1 / norm`` before the complex cast, which is the rounding of the
+    complex-by-real divide (a real ``/ norm`` rounds differently).
+    """
     c = np.asarray(centres, dtype=np.float64).reshape(-1, 1)
     shape = DETECTOR_SHAPES[d.shape]
-    size = getattr(d, shape.size) if shape.size else None
+    size = _detector_size(d)
     if shape.size and size < 2 * g.dx:
         raise ValueError(
             f"{d.shape} detector {shape.size}={size:g} unresolvable: "
             f"minimum is 2*dx = {2 * g.dx:g}; raise detector.{shape.size}, or "
             f"grid.n at fixed grid.extent"
         )
-    v = shape.rows(size, g, c).astype(np.complex128)
-    norm = np.sqrt(np.sum(np.abs(v) ** 2, axis=1, keepdims=True) * g.dx)
+    p = np.asarray(shape.rows(size, g, c, cols), dtype=np.float64)
+    sq = np.zeros((len(c), g.n))
+    np.square(p, out=sq[:, cols])
+    norm = np.sqrt(np.sum(sq, axis=1, keepdims=True) * g.dx)
     if not np.all(norm > 0):
         raise ValueError(f"{d.shape} detector covers no grid point")
-    return np.divide(v, norm, out=v)
+    p *= 1.0 / norm
+    return p.astype(np.complex128)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,14 @@ from biphoton import (
     materialize_detector,
 )
 from biphoton.cli import ScenarioConfig, build_setup
-from biphoton.elements import _LensOp, _SpectralPhaseOp, _detector_rows, compile_chain
+from biphoton.elements import (
+    DETECTOR_SHAPES,
+    _detector_reach,
+    _detector_rows,
+    _LensOp,
+    _SpectralPhaseOp,
+    compile_chain,
+)
 from conftest import random_field
 
 F, KZ = 2.0, 50.0
@@ -131,6 +138,19 @@ class TestDetectorRows:
             one = materialize_detector(replace(det, center=float(c)), g)
             assert row.tobytes() == one.values.tobytes()
 
+    @pytest.mark.parametrize("shape", sorted(DETECTOR_SHAPES))
+    def test_real_scaling_keeps_the_bits_of_the_complex_divide(self, shape):
+        # the sampler scales the real profile by 1 / norm and casts it;
+        # dividing the complex profile by its norm rounds the same way
+        # (a real divide by the norm does not)
+        g = make_grid(512, 20.0)
+        c = np.concatenate([g.x, g.x + 0.37 * g.dx])[:, None]
+        key = DETECTOR_SHAPES[shape].size
+        v = DETECTOR_SHAPES[shape].rows(0.3, g, c, slice(None)).astype(np.complex128)
+        v /= np.sqrt(np.sum(np.abs(v) ** 2, axis=1, keepdims=True) * g.dx)
+        det = DetectorProfile(shape, **({key: 0.3} if key else {}))
+        assert _detector_rows(det, g, c).tobytes() == v.tobytes()
+
     def test_point_rows_on_grid_centres_are_the_scaled_identity(self):
         g = make_grid(256, 16.0)
         rows = _detector_rows(DetectorProfile("point"), g, g.x)
@@ -169,6 +189,32 @@ class TestDetectorRows:
     def test_detector_off_the_grid_is_rejected(self, det, error, match):
         with pytest.raises(error, match=match):
             materialize_detector(det, make_grid(64, 16.0))
+
+
+class TestDetectorSupport:
+    # n = 512 at a power-of-two dx (1/32) and at dx = 20/512
+    @pytest.mark.parametrize("extent", [16.0, 20.0])
+    @pytest.mark.parametrize("shape", sorted(DETECTOR_SHAPES))
+    def test_rows_vanish_past_the_reach_and_a_window_keeps_the_bits(self, shape, extent):
+        g = make_grid(512, extent)
+        idx = np.sort(np.random.default_rng(7).choice(g.n, 100, replace=False))
+        # on the grid and 0.37 dx off it
+        centres = np.sort(np.concatenate([g.x[idx], g.x[idx] + 0.37 * g.dx]))
+        key = DETECTOR_SHAPES[shape].size
+        sizes = np.geomspace(2 * g.dx, extent / 4, 6) if key else [None]
+        for size in sizes:
+            det = DetectorProfile(shape, **({key: float(size)} if key else {}))
+            reach = _detector_reach(det, g)
+            rows = _detector_rows(det, g, centres)
+            assert not rows[np.abs(g.x - centres[:, None]) > reach].any()
+            # blocks of consecutive centres, each on the columns its
+            # rows' support covers, with a margin of one sample
+            for block in np.array_split(np.arange(len(centres)), 8):
+                c = centres[block]
+                lo = max(0, int(np.searchsorted(g.x, c[0] - reach)) - 1)
+                hi = min(g.n, int(np.searchsorted(g.x, c[-1] + reach, "right")) + 1)
+                window = _detector_rows(det, g, c, slice(lo, hi))
+                assert window.tobytes() == rows[block, lo:hi].tobytes()
 
 
 class TestSingleElements:

@@ -161,9 +161,9 @@ def _spy_on_blocks(monkeypatch):
     centres, pools = [], []
     rows, pool = predict._detector_rows, predict.ThreadPoolExecutor
 
-    def rows_spy(d, g, c):
+    def rows_spy(d, g, c, cols):
         centres.append(np.array(c))
-        return rows(d, g, c)
+        return rows(d, g, c, cols)
 
     def pool_spy(workers):
         pools.append(workers)
@@ -256,6 +256,54 @@ class TestBlockedMatmul:
                 child.kill()
                 child.join()
         assert path.read_bytes() == here
+
+
+# shape -> the oracle-verify scenario's detector keys for it
+BAND_DETECTORS = {
+    "gaussian": "detector.sigma = 0.1\n",
+    "tophat": "detector.shape = tophat\ndetector.width = 0.25\n",
+    "point": "detector.shape = point\n",
+}
+
+
+class TestBandedProduct:
+    @pytest.mark.parametrize("mask, n", [("double-slit", 2048), ("none", 1024)])
+    @pytest.mark.parametrize("shape", sorted(BAND_DETECTORS))
+    def test_bits_equal_the_dense_product(self, monkeypatch, shape, mask, n):
+        # each block multiplies only its detector band, aligned to
+        # _BAND_ALIGN columns; the zeros it leaves out change no bit of
+        # the one-call dense product, on one CPU or two
+        setup = cli.build_setup(
+            cli.parse_config(
+                f"grid.n = {n}\ngrid.extent = {n / 32!r}\nkappa = 8\n"
+                f"{BAND_DETECTORS[shape]}mask.kind = {mask}\n"
+                "mask.width = 0.4\nmask.separation = 2.0\n"
+            )
+        )
+        g, det = setup.grid, setup.detector1
+        Psi = evolve_joint(setup.source, predict.forward_arm1_chain(setup.arm1), setup.arm2)
+        A = g.dx * (np.conj(_detector_rows(det, g, g.x)) @ Psi.values)
+        dens = np.abs(A) ** 2
+        dens /= float(dens.sum()) * g.dx**2
+        dens = dens.tobytes()
+
+        products = []
+        matmul = np.matmul
+
+        def spy(a, b, **kw):
+            products.append((a.shape, b.shape))
+            return matmul(a, b, **kw)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        for cpus in (1, 2):
+            _affinity(monkeypatch, cpus)
+            products.clear()
+            assert joint_distribution(Psi, det).density.tobytes() == dens
+            # a silent fall-back to the full width would pass the bits
+            k = [a[1] for a, _ in products]
+            assert len(k) == g.n // predict._MIN_BLOCK_ROWS
+            assert all(b[0] == a[1] for a, b in products)
+            assert all(w < g.n and w % predict._BAND_ALIGN == 0 for w in k)
 
 
 class TestMemory:
@@ -395,10 +443,10 @@ class TestZeroSkip:
 
         # a delta source's leading mask acts on its pump, so every arm-1 op
         # sees only the live rows; the product only the live columns, and
-        # never fewer than two
+        # never fewer than two, of the block's detector band of rows
         if SKIP_CASES[case][0] == "delta":
             assert ops and ops == [(live, g.n)] * len(ops)
-        assert sorted({b for _, b in products}) == [(g.n, max(2, live))]
+        assert all(b == (a[1], max(2, live)) for a, b in products)
         assert sum(a[0] for a, _ in products) == g.n
 
     def test_all_zero_mask_is_dark(self, small_grid, monkeypatch):
