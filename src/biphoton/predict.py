@@ -12,14 +12,23 @@ It builds the joint in blocks of 256 rows, a thread per CPU in the
 process's affinity (``os.sched_getaffinity``).  A block samples its rows
 of the detector bank and squares its rows of the coincidence amplitude
 into the density, so no n x n bank or amplitude exists: the memory is the
-pair amplitude plus the density.  Its bits do not depend on the CPUs.
+pair amplitude's m live columns (16 n m bytes), the density (8 n^2) and
+one bank block per thread.  With no opaque mask m = n, and the
+evolution's own n x n temporaries set the peak.  Its bits do not depend
+on the CPUs.
 
 It skips work whose result is exactly zero, by three rules, and the joint
 keeps its bits.  A delta-correlated source enters as its pump: leading
 pointwise arm-1 elements act on the pump alone, and its dead entries
 never become rows of the evolution.  The all-zero columns of the evolved
-pair amplitude (an opaque mask in either arm leaves them) never enter the
-product; the density holds exact zeros there.  A detector row is exactly
+pair amplitude (an opaque mask in arm 1 leaves them) never enter the
+product; the density holds exact zeros there.  :func:`joint_for_setup`
+carries the pair amplitude from the evolution to the product as its live
+columns, an n x m block, when arm 2 is empty; with a nonempty arm 2, or a
+dense source, it is the full table.  The public :func:`evolve_joint`
+scatters the columns into an n x n table and :func:`joint_distribution`
+scans a table for them (an opaque mask in arm 2 leaves some too); both
+share the product with :func:`joint_for_setup`.  A detector row is exactly
 zero farther from its centre than its shape's support half-width, so a
 block samples and multiplies only the band of columns its rows reach,
 widened to multiples of ``_BAND_ALIGN``.  With a band of w columns and m
@@ -46,7 +55,7 @@ from .elements import (
     compile_chain,
 )
 from .errors import DarkConditionalError
-from .grid import Field, TransverseGrid, _frozen, _unchecked
+from .grid import Field, TransverseGrid, _frozen, _readonly, _unchecked
 from .retrodict import DARK_WEIGHT, ConditionalDistribution, ImagingSetup
 from .source import BiphotonField, DeltaCorrelatedSource
 
@@ -80,13 +89,11 @@ def _transposed(a: np.ndarray) -> np.ndarray:
     """``np.ascontiguousarray(a.T)``, the same bytes, copied tile by tile.
 
     A 64 x 64 complex tile and its image both stay in cache, which halves
-    the cost of the strided whole-matrix copy at n = 2048.  It is also
-    why ``evolve_joint`` leaves arm 1 through it when every row is live
-    rather than through the zero-filled scatter that a pump with dead
-    entries needs: this copy, the scatter and ``np.ascontiguousarray``
-    took 34 / 94 / 69 ms at n = 2048 and 202 / 549 / 433 ms at n = 4096
-    (2 vCPUs, numpy 2.4.6, one OpenBLAS thread), with the same memory.
-    The bytes are the same either way, so only the time tells them apart.
+    the cost of the strided whole-matrix copy at n = 2048: this copy and
+    ``np.ascontiguousarray`` took 34 / 69 ms at n = 2048 and 202 / 433 ms
+    at n = 4096 (2 vCPUs, numpy 2.4.6, one OpenBLAS thread).  Arm 1's
+    rows leave the evolution through it, all n of them or a pump's m live
+    ones, as the n x m block of live columns.
     """
     t = 64
     out = np.empty(a.shape[::-1], dtype=a.dtype)
@@ -110,8 +117,45 @@ _MIN_BLOCK_ROWS = 256
 
 # A block's detector band starts and ends on a multiple of this many
 # columns, or at the window's edge, so that OpenBLAS sums the product's
-# inner dimension in the dense product's chunks: see joint_distribution.
+# inner dimension in the dense product's chunks: see _joint.
 _BAND_ALIGN = 128
+
+
+def _table(psi: np.ndarray, live: np.ndarray, n: int) -> np.ndarray:
+    """The n x n table whose columns ``live`` are ``psi``'s, zero elsewhere."""
+    full = np.zeros((n, n), dtype=psi.dtype)
+    full[:, live] = psi
+    return full
+
+
+def _live_columns(B: BiphotonField | DeltaCorrelatedSource, arm1, arm2):
+    """The evolved pair amplitude as its live columns: ``(psi, live)``.
+
+    ``psi`` is a C-contiguous, checked (n, m) block and ``live`` the sorted
+    indices of its m columns in the n x n amplitude, whose other columns
+    are exact zeros.  With a delta-correlated source and an empty arm 2,
+    m is the number of live pump entries; otherwise ``psi`` is the whole
+    table and m = n.  See :func:`evolve_joint`.
+    """
+    g, arm1, arm2 = B.grid, list(arm1), compile_chain(arm2)
+    if isinstance(B, DeltaCorrelatedSource):
+        pump = B.pump
+        while arm1 and isinstance(arm1[0], (Mask, QuadraticPhase)):
+            pump = arm1.pop(0).forward(pump, g)
+        live = np.flatnonzero(pump)
+        v = np.zeros((live.size, g.n), dtype=np.complex128)
+        v[np.arange(live.size), live] = pump[live]
+    else:
+        v, live = _transposed(B.values), np.arange(g.n)
+    for op in compile_chain(arm1):
+        v = op.forward(v, g)
+    v = _transposed(v)
+    if arm2 and len(live) < g.n:  # arm 2 mixes the columns
+        v, live = _table(v, live, g.n), np.arange(g.n)
+    for op in arm2:
+        v = op.forward(v, g)
+    v = _frozen(np.ascontiguousarray(v), (g.n, len(live)), "biphoton values")
+    return v, live
 
 
 def evolve_joint(
@@ -129,30 +173,16 @@ def evolve_joint(
     A delta-correlated source is diagonal, its own transpose, and leading
     pointwise (``Mask``, ``QuadraticPhase``) arm-1 elements keep it so:
     they act on the pump, and only the rows it leaves nonzero are built,
-    with the dense path's bits except that no zero is -0.
+    with the dense path's bits except that no zero is -0.  Those rows are
+    the amplitude's only nonzero columns until arm 2 mixes them.  With an
+    empty arm 2, :func:`joint_for_setup` keeps them as an n x m block;
+    this function scatters them into the zero-filled n x n table it
+    returns.
     """
-    g, arm1 = B.grid, list(arm1)
-    if isinstance(B, DeltaCorrelatedSource):
-        pump = B.pump
-        while arm1 and isinstance(arm1[0], (Mask, QuadraticPhase)):
-            pump = arm1.pop(0).forward(pump, g)
-        live = np.flatnonzero(pump)
-        v = np.zeros((live.size, g.n), dtype=np.complex128)
-        v[np.arange(live.size), live] = pump[live]
-    else:
-        v, live = _transposed(B.values), np.arange(g.n)
-    for op in compile_chain(arm1):
-        v = op.forward(v, g)
-    if len(live) == g.n:
-        v = _transposed(v)
-    else:
-        full = np.zeros((g.n, g.n), dtype=v.dtype)
-        full[:, live] = v.T
-        v = full
-    for op in compile_chain(arm2):
-        v = op.forward(v, g)
-    v = _frozen(np.ascontiguousarray(v), (g.n, g.n), "biphoton values")
-    return _unchecked(BiphotonField, grid=g, values=v)
+    v, live = _live_columns(B, arm1, arm2)
+    if len(live) < B.grid.n:
+        v = _readonly(_table(v, live, B.grid.n))
+    return _unchecked(BiphotonField, grid=B.grid, values=v)
 
 
 def joint_distribution(Psi: BiphotonField, detector1: DetectorProfile) -> JointDistribution:
@@ -162,18 +192,34 @@ def joint_distribution(Psi: BiphotonField, detector1: DetectorProfile) -> JointD
     ``A(x1, x2) = dx * sum_x conj(a_x1(x)) Psi(x, x2)``; arm-2 detection is
     pointwise.  The squared modulus is normalized over both coordinates.
 
+    This function finds the live (not all-zero) columns of ``Psi`` by one
+    O(n^2) scan and hands them to the product that
+    :func:`joint_for_setup` feeds straight from the evolution; the rest of
+    the density is exact zeros.  See :func:`_joint` for the product.
+    """
+    g, psi = Psi.grid, Psi.values
+    live = np.flatnonzero(np.any(psi != 0, axis=0))
+    return _joint(g, psi if len(live) == g.n else psi[:, live], live, detector1)
+
+
+def _joint(
+    g: TransverseGrid, psi: np.ndarray, live: np.ndarray, detector1: DetectorProfile
+) -> JointDistribution:
+    """The joint density of a pair amplitude held as its live columns:
+    ``psi`` (n, m) holds the columns ``live`` (sorted) of the n x n
+    amplitude, whose other columns are all zero.
+
     A block of ``_MIN_BLOCK_ROWS`` rows samples its rows of the detector
     bank and squares its rows of ``A`` into the density, so the bank and
     ``A`` exist a block at a time.  Blocks run on a pool of a thread per
     CPU, at most one per block, made for this call (a pool kept at module
-    level would have no threads in a forked child), or inline if one.  The BLAS computes a
-    row of a product by the same operations whichever rows share its
-    call, so the bits do not depend on the CPU count
+    level would have no threads in a forked child), or inline if one.  The
+    BLAS computes a row of a product by the same operations whichever rows
+    share its call, so the bits do not depend on the CPU count
     (``tests/test_predict.py`` pins this).  One sum over the whole table
     normalizes it.
 
-    Only the live (not all-zero) columns of ``Psi`` enter the product; the
-    rest of the density is exact zeros.  Each column keeps the full
+    Only the m live columns enter the product.  Each column keeps the full
     product's bits if there are at least two (one goes to the
     matrix-vector routine, which rounds differently, so a lone live column
     gets a dead neighbour) and the bank is real, as every
@@ -186,23 +232,21 @@ def joint_distribution(Psi: BiphotonField, detector1: DetectorProfile) -> JointD
     minus the shape's support half-width to its last centre plus it, with
     a margin of one sample, widened outward to multiples of
     ``_BAND_ALIGN`` (128) and clipped to the window.  The product is
-    ``conj(bank_band) @ sub[lo:hi]``, O(n w m) for a band of w columns
-    and m live columns, O(n^2 w) with no opaque mask; the bank's row norms
-    stay full-width sums, O(n^2).  The columns left out are exact zeros,
-    and they change no bit only because OpenBLAS's kernel blocking sums
-    the inner dimension in chunks that the 128 alignment keeps in place
-    (multiples of 64 did not); ``TestBandedProduct`` in
-    ``tests/test_predict.py`` pins it for every shape.  Flushing the
-    Gaussian's subnormal tail and splitting the complex product into two
-    real ones would be faster still, but the first changes bytes and the
-    second's bits are unverified, so neither is done.
+    ``conj(bank_band) @ psi[lo:hi]``, O(n w m) for a band of w columns;
+    the bank's row norms stay full-width sums, O(n^2).  The columns left
+    out are exact zeros, and they change no bit only because OpenBLAS's
+    kernel blocking sums the inner dimension in chunks that the 128
+    alignment keeps in place (multiples of 64 did not);
+    ``TestBandedProduct`` in ``tests/test_predict.py`` pins it for every
+    shape.  Flushing the Gaussian's subnormal tail and splitting the
+    complex product into two real ones would be faster still, but the
+    first changes bytes and the second's bits are unverified, so neither
+    is done.
     """
-    g, psi = Psi.grid, Psi.values
-    live = np.any(psi != 0, axis=0)
-    if np.count_nonzero(live) == 1:  # add a dead neighbour: see above
-        live[(np.argmax(live) + 1) % g.n] = True
-    cols = slice(None) if live.all() else live
-    sub = psi[:, cols]
+    if len(live) == 1:  # add a dead neighbour: see above
+        j = (live[0] + 1) % g.n
+        psi, live = np.insert(psi, int(j > live[0]), 0, axis=1), np.sort([live[0], j])
+    cols = slice(None) if len(live) == g.n else live
     dens = np.zeros((g.n, g.n))
     # a row is 0 farther than `reach` samples from its centre, with a
     # margin of one; min() keeps a huge reach finite
@@ -212,7 +256,7 @@ def joint_distribution(Psi: BiphotonField, detector1: DetectorProfile) -> JointD
         lo = max(0, (rows.start - reach) // _BAND_ALIGN * _BAND_ALIGN)
         hi = min(g.n, -(-(rows.stop + reach) // _BAND_ALIGN) * _BAND_ALIGN)
         bank = _detector_rows(detector1, g, g.x[rows], slice(lo, hi))
-        a = np.matmul(np.conj(bank, out=bank), sub[lo:hi])
+        a = np.matmul(np.conj(bank, out=bank), psi[lo:hi])
         a *= g.dx
         dens[rows, cols] = np.abs(a) ** 2
 
@@ -270,9 +314,14 @@ def forward_arm1_chain(arm1) -> list:
 
 
 def joint_for_setup(setup: ImagingSetup) -> JointDistribution:
-    """Joint density for an imaging setup via the forward route."""
-    Psi = evolve_joint(setup.source, forward_arm1_chain(setup.arm1), setup.arm2)
-    return joint_distribution(Psi, setup.detector1)
+    """Joint density for an imaging setup via the forward route.
+
+    ``joint_distribution(evolve_joint(...), detector1)`` bit for bit, but
+    the pair amplitude goes from the evolution to the product as its live
+    columns: no n x n zero-filled table and no scan for them.
+    """
+    psi, live = _live_columns(setup.source, forward_arm1_chain(setup.arm1), setup.arm2)
+    return _joint(setup.grid, psi, live, setup.detector1)
 
 
 def mutual_information_bits(J: JointDistribution, bins: int = 64) -> float:

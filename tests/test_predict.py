@@ -2,6 +2,7 @@
 
 import multiprocessing
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from biphoton import (
     marginal_arm2,
     mutual_information_bits,
     run_retrodictive,
+    sweep_conditioning,
 )
 from biphoton import cli, predict
 from biphoton.elements import _detector_rows, apply_chain_forward
@@ -306,30 +308,40 @@ class TestBandedProduct:
             assert all(w < g.n and w % predict._BAND_ALIGN == 0 for w in k)
 
 
+def _benchmark_setup(n, mask):
+    """The benchmark's fig3-direct scenario: dx = 1/32, pump spot 8,
+    Gaussian detector of sigma 0.1, the narrow slits."""
+    return cli.build_setup(
+        cli.parse_config(
+            f"grid.n = {n}\ngrid.extent = {n / 32!r}\nkappa = 8\n"
+            f"detector.sigma = 0.1\nmask.kind = {mask}\n"
+            "mask.width = 0.4\nmask.separation = 2.0\n"
+        )
+    )
+
+
+def _peak_of_joint(setup):
+    """The tracemalloc peak of one joint_for_setup, in units of 16 n^2."""
+    tracemalloc.start()
+    try:
+        J = joint_for_setup(setup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return J, peak / (16 * setup.grid.n**2)
+
+
 class TestMemory:
-    @pytest.mark.parametrize("mask, bound", [("double-slit", 2.5), ("none", 4.01)])
+    @pytest.mark.parametrize("mask, bound", [("double-slit", 1.25), ("none", 4.01)])
     def test_peak_of_the_oracle(self, monkeypatch, mask, bound):
         # the benchmark's oracle-verify scenario at n = 1024 on two CPUs,
         # each of whose threads holds one block of the bank; the peak in
         # units of one n x n complex table.  With the double slit it is
-        # Psi, the density and the blocks; with no mask, evolve_joint's
-        # four n x n tables (plus vectors of n)
-        n = 1024
-        setup = cli.build_setup(
-            cli.parse_config(
-                f"grid.n = {n}\ngrid.extent = {n / 32!r}\nkappa = 8\n"
-                f"detector.sigma = 0.1\nmask.kind = {mask}\n"
-                f"mask.width = 0.4\nmask.separation = 2.0\n"
-            )
-        )
+        # Psi's live columns, the density (0.5) and the blocks: 0.84 on one
+        # CPU, 0.93-1.15 on two as the threads' blocks overlap; with no
+        # mask, evolve_joint's four n x n tables (plus vectors of n)
         _affinity(monkeypatch, 2)
-        tracemalloc.start()
-        try:
-            joint_for_setup(setup)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * 16 * n**2
+        assert _peak_of_joint(_benchmark_setup(1024, mask))[1] <= bound
 
     def test_peak_of_the_joint_alone(self, monkeypatch):
         # joint_distribution on the no-mask oracle-verify scenario at
@@ -337,12 +349,7 @@ class TestMemory:
         # 1.63 x 16n^2.  Every column is live, and a boolean column index
         # would copy Psi whole (2.63)
         n = 1024
-        setup = cli.build_setup(
-            cli.parse_config(
-                f"grid.n = {n}\ngrid.extent = {n / 32!r}\nkappa = 8\n"
-                "detector.sigma = 0.1\n"
-            )
-        )
+        setup = _benchmark_setup(n, "none")
         arm1 = predict.forward_arm1_chain(setup.arm1)
         Psi = evolve_joint(setup.source, arm1, setup.arm2)
         _affinity(monkeypatch, 2)
@@ -353,6 +360,108 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2.0 * 16 * n**2
+
+    def test_keystone_at_n_8192(self, monkeypatch):
+        # the image-large-grid scenario, checked against its own oracle:
+        # the density (0.5 x 16n^2) plus Psi's 26 live columns and a bank
+        # block per thread, where a zero-filled Psi alone would be 1.0
+        setup = _benchmark_setup(8192, "double-slit")
+        _affinity(monkeypatch, 2)
+        J, peak = _peak_of_joint(setup)
+        assert peak <= 0.75
+        xs = [k * setup.grid.dx for k in (-40, 0, 37)]
+        for x1, r in zip(xs, sweep_conditioning(setup, xs)):
+            oracle = conditional_from_joint(J, x1).density
+            assert np.max(np.abs(r.distribution.density - oracle)) <= 1e-8
+
+
+def _scenario_setup(scenario, mask, shape, n):
+    """A scenario with the benchmark's slits and a pump spot that fits
+    every window, its detector a few samples wide; fourier-2f keeps its
+    self-conjugate window."""
+    extent = "" if scenario == "fourier-2f" else f"grid.extent = {n / 32!r}\n"
+    cfg = cli.parse_config(
+        f"scenario = {scenario}\ngrid.n = {n}\n{extent}kappa = 2\n"
+        f"detector.shape = {shape}\nmask.kind = {mask}\n"
+        "mask.width = 0.4\nmask.separation = 2.0\n"
+    )
+    dx = cfg.extent / n
+    return cli.build_setup(replace(cfg, detector_sigma=3 * dx, detector_width=4 * dx))
+
+
+# the scenario x mask x shape grid at n = 256 and 512, and the benchmark's
+# double slit at n = 2048
+LIVE_GRID = [
+    (scenario, mask, shape, n)
+    for n in (256, 512)
+    for scenario in ("fig3-direct", "custom", "fourier-2f")
+    for mask in ("none", "slit", "double-slit")
+    for shape in sorted(DETECTORS)
+] + [("fig3-direct", "double-slit", shape, 2048) for shape in sorted(DETECTORS)]
+
+
+def _coded_setup(open_at, arm2):
+    """A delta source behind an arm-1 mask open at ``open_at`` and a
+    propagation, in backward order, and ``arm2``: "empty", "mask" (zero
+    at 100 <= i < 180) or "propagate"."""
+    g = make_grid(256, 16.0)
+    arm2 = {
+        "empty": (),
+        "mask": (_open_mask(g, [*range(100), *range(180, g.n)]),),
+        "propagate": (Propagate(0.5, KZ),),
+    }[arm2]
+    return ImagingSetup(
+        grid=g,
+        arm1=(Propagate(0.5, KZ), _open_mask(g, open_at)),
+        arm2=arm2,
+        source=make_biphoton_delta_correlated(g, kappa=0.5),
+        detector1=DetectorProfile("gaussian", sigma=0.2),
+    )
+
+
+class TestLiveColumns:
+    """joint_for_setup hands evolve_joint's live columns straight to the
+    product; joint_distribution(evolve_joint(...)) scatters them into an
+    n x n table and scans it for them.  The bytes are the same."""
+
+    def _assert_same_bytes(self, setup, monkeypatch):
+        Psi = evolve_joint(setup.source, predict.forward_arm1_chain(setup.arm1), setup.arm2)
+        ref = joint_distribution(Psi, setup.detector1).density.tobytes()
+        for cpus in (1, 2):
+            _affinity(monkeypatch, cpus)
+            assert joint_for_setup(setup).density.tobytes() == ref
+
+    @pytest.mark.parametrize("scenario, mask, shape, n", LIVE_GRID)
+    def test_scenarios(self, monkeypatch, scenario, mask, shape, n):
+        self._assert_same_bytes(_scenario_setup(scenario, mask, shape, n), monkeypatch)
+
+    @pytest.mark.parametrize("arm2", ["empty", "mask", "propagate"])
+    @pytest.mark.parametrize(
+        "open_at", [(40,), (40, 41), (255,), (3, 90, 91, 200)], ids=["1", "2", "last", "4"]
+    )
+    def test_setups_built_in_code(self, monkeypatch, open_at, arm2):
+        # one live column gets a dead neighbour, which wraps to column 0
+        # for the last one; an arm-2 mask zeroes columns of the full table
+        self._assert_same_bytes(_coded_setup(open_at, arm2), monkeypatch)
+
+    @pytest.mark.parametrize("arm2", ["empty", "mask", "propagate"])
+    def test_all_opaque_mask_is_dark(self, arm2):
+        with pytest.raises(DarkConditionalError):
+            joint_for_setup(_coded_setup((), arm2))
+
+    def test_product_takes_only_the_live_columns(self, monkeypatch):
+        # a silent fall-back to the zero-filled table would pass the bits
+        setup = _benchmark_setup(512, "double-slit")
+        products = []
+        matmul = np.matmul
+
+        def spy(a, b, **kw):
+            products.append(b.shape)
+            return matmul(a, b, **kw)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        joint_for_setup(setup)
+        assert products and all(1 < m < setup.grid.n for _, m in products)
 
 
 def _open_mask(g, open_at):
@@ -390,6 +499,8 @@ SKIP_CASES = {
     # dense source: no row of arm 1 dies, the arm-2 mask kills columns
     "dense-arm2-mask": ("dense", ["lens"], ["propagate", "mask"], range(20, 46)),
     "one-live-column": ("delta", ["mask", "propagate"], [], (40,)),
+    # its dead neighbour wraps to column 0
+    "last-live-column": ("delta", ["mask", "propagate"], [], (63,)),
     "seven-live-columns": ("delta", ["mask", "propagate"], [], (3, 10, 11, 12, 30, 50, 63)),
 }
 
