@@ -6,35 +6,59 @@ amplitude forward through both arms, project onto the arm-1 detector at
 every grid position to form the joint density P(x1, x2), and condition by
 row normalization.  It is deliberately assumption-free (dense tables,
 nearest-row conditioning) and serves as the independent ground truth for
-the detection-first pipeline.
+the detection-first pipeline.  The oracle's rules are stated here once.
 
-It builds the joint in blocks of 256 rows, a thread per CPU in the
-process's affinity (``os.sched_getaffinity``).  A block samples its rows
-of the detector bank and squares its rows of the coincidence amplitude
-into the density, so no n x n bank or amplitude exists: the memory is the
-pair amplitude's m live columns (16 n m bytes), the density (8 n^2) and
-one bank block per thread.  With no opaque mask m = n, and the
-evolution's own n x n temporaries set the peak.  Its bits do not depend
-on the CPUs.
+Blocks and threads.  The joint is built in blocks of ``_MIN_BLOCK_ROWS``
+rows.  A block samples its rows of the detector bank, multiplies them into
+the pair amplitude and squares them into its rows of the density.  Blocks
+run on a pool of a thread per CPU in the process's affinity
+(``os.sched_getaffinity``, or ``os.cpu_count()`` where there is none), at
+most one per block, made per call (a pool kept at module level would have
+no threads in a forked child), or inline on one CPU.  The BLAS computes a
+row of a product by the same operations whichever rows share its call, so
+the bits do not depend on the CPU count.
 
-It skips work whose result is exactly zero, by three rules, and the joint
-keeps its bits.  A delta-correlated source enters as its pump: leading
-pointwise arm-1 elements act on the pump alone, and its dead entries
-never become rows of the evolution.  The all-zero columns of the evolved
-pair amplitude (an opaque mask in arm 1 leaves them) never enter the
-product; the density holds exact zeros there.  :func:`joint_for_setup`
-carries the pair amplitude from the evolution to the product as its live
-columns, an n x m block, when arm 2 is empty; with a nonempty arm 2, or a
-dense source, it is the full table.  The public :func:`evolve_joint`
-scatters the columns into an n x n table and :func:`joint_distribution`
-scans a table for them (an opaque mask in arm 2 leaves some too); both
-share the product with :func:`joint_for_setup`.  A detector row is exactly
-zero farther from its centre than its shape's support half-width, so a
-block samples and multiplies only the band of columns its rows reach,
-widened to multiples of ``_BAND_ALIGN``.  With a band of w columns and m
-live columns the product costs O(n w m), O(n^2 w) with no opaque mask,
-next to O(n^2 log n) for the evolution; the detector rows' norms still
-sum all n columns, O(n^2).
+Memory.  No n x n bank or coincidence amplitude exists: the joint holds
+the pair amplitude's m product columns (16 n m bytes), the density
+(8 n^2) and one bank block per thread.  Where the whole amplitude enters,
+m = n, and the evolution's own n x n temporaries set the peak.
+
+Exact zeros.  Two rules skip work whose result is exactly zero, and the
+joint keeps its bits.
+
+* Pump columns.  A delta-correlated source enters as its pump: leading
+  pointwise arm-1 elements (``Mask``, ``QuadraticPhase``) act on the pump
+  alone, and its dead entries never become rows of the evolution.  With
+  an empty arm 2 those rows are the amplitude's only nonzero columns, and
+  only they enter the product; the density holds exact zeros elsewhere.
+  A lone live entry i also keeps entry (i + 1) % n as a dead row, added
+  as zeros after arm 1 (an op could turn a zero into -0): a one-column
+  product goes to the matrix-vector routine, which rounds differently.
+  A nonempty arm 2 mixes the columns, so there, and for a dense source,
+  the whole amplitude enters.  A column keeps the all-column product's
+  bits only with a real bank, as every ``DETECTOR_SHAPES`` profile is;
+  with a complex one, OpenBLAS's remainder kernel rounds the columns past
+  the last multiple of 4 differently (about 5e-16 relative).
+* The detector band.  A detector row is exactly zero farther from its
+  centre than its shape's support half-width.  So a block samples and
+  multiplies only the band of columns its rows reach, with a margin of
+  one sample, widened outward to multiples of ``_BAND_ALIGN`` and clipped
+  to the window; the bank's row norms stay full-width sums.  The band's
+  bits rest on OpenBLAS's kernel blocking, not on a promise of the BLAS:
+  aligned to 128 columns the product sums its inner dimension in the
+  dense product's chunks, and aligned to 64 it did not.
+  ``TestBandedProduct`` in ``tests/test_predict.py`` pins it for every
+  shape.
+
+With a band of w columns and m product columns the product costs
+O(n w m), O(n^2 w) with every column live, next to O(n^2 log n) for the
+evolution and O(n^2) for the row norms.
+
+Routes.  :func:`joint_for_setup` is the live-column route: the evolution
+hands its product columns straight to the product.
+:func:`joint_distribution` is the all-column definition: it multiplies
+every column of the table it is given, such as the n x n table
+:func:`evolve_joint` scatters the columns into.  Both give the same bytes.
 """
 
 from __future__ import annotations
@@ -88,12 +112,9 @@ class JointDistribution:
 def _transposed(a: np.ndarray) -> np.ndarray:
     """``np.ascontiguousarray(a.T)``, the same bytes, copied tile by tile.
 
-    A 64 x 64 complex tile and its image both stay in cache, which halves
-    the cost of the strided whole-matrix copy at n = 2048: this copy and
-    ``np.ascontiguousarray`` took 34 / 69 ms at n = 2048 and 202 / 433 ms
-    at n = 4096 (2 vCPUs, numpy 2.4.6, one OpenBLAS thread).  Arm 1's
-    rows leave the evolution through it, all n of them or a pump's m live
-    ones, as the n x m block of live columns.
+    A 64 x 64 complex tile and its image both stay in cache, which makes
+    this about twice as fast as the strided whole-matrix copy.  Arm 1's
+    rows leave the evolution through it.
     """
     t = 64
     out = np.empty(a.shape[::-1], dtype=a.dtype)
@@ -117,7 +138,7 @@ _MIN_BLOCK_ROWS = 256
 
 # A block's detector band starts and ends on a multiple of this many
 # columns, or at the window's edge, so that OpenBLAS sums the product's
-# inner dimension in the dense product's chunks: see _joint.
+# inner dimension in the dense product's chunks: see the module docstring.
 _BAND_ALIGN = 128
 
 
@@ -129,13 +150,13 @@ def _table(psi: np.ndarray, live: np.ndarray, n: int) -> np.ndarray:
 
 
 def _live_columns(B: BiphotonField | DeltaCorrelatedSource, arm1, arm2):
-    """The evolved pair amplitude as its live columns: ``(psi, live)``.
+    """The evolved pair amplitude as the columns that enter the product:
+    ``(psi, live)``.
 
     ``psi`` is a C-contiguous, checked (n, m) block and ``live`` the sorted
     indices of its m columns in the n x n amplitude, whose other columns
-    are exact zeros.  With a delta-correlated source and an empty arm 2,
-    m is the number of live pump entries; otherwise ``psi`` is the whole
-    table and m = n.  See :func:`evolve_joint`.
+    are exact zeros.  This is the one place those columns are chosen, by
+    the pump-column rule of the module docstring.  See :func:`evolve_joint`.
     """
     g, arm1, arm2 = B.grid, list(arm1), compile_chain(arm2)
     if isinstance(B, DeltaCorrelatedSource):
@@ -149,6 +170,9 @@ def _live_columns(B: BiphotonField | DeltaCorrelatedSource, arm1, arm2):
         v, live = _transposed(B.values), np.arange(g.n)
     for op in compile_chain(arm1):
         v = op.forward(v, g)
+    if len(live) == 1:  # a dead neighbour: see the module docstring
+        j = (live[0] + 1) % g.n
+        v, live = np.pad(v, ((int(j == 0), int(j > 0)), (0, 0))), np.sort([live[0], j])
     v = _transposed(v)
     if arm2 and len(live) < g.n:  # arm 2 mixes the columns
         v, live = _table(v, live, g.n), np.arange(g.n)
@@ -173,10 +197,8 @@ def evolve_joint(
     A delta-correlated source is diagonal, its own transpose, and leading
     pointwise (``Mask``, ``QuadraticPhase``) arm-1 elements keep it so:
     they act on the pump, and only the rows it leaves nonzero are built,
-    with the dense path's bits except that no zero is -0.  Those rows are
-    the amplitude's only nonzero columns until arm 2 mixes them.  With an
-    empty arm 2, :func:`joint_for_setup` keeps them as an n x m block;
-    this function scatters them into the zero-filled n x n table it
+    with the dense path's bits except that no zero is -0.  This function
+    scatters the evolved columns into the zero-filled n x n table it
     returns.
     """
     v, live = _live_columns(B, arm1, arm2)
@@ -191,61 +213,23 @@ def joint_distribution(Psi: BiphotonField, detector1: DetectorProfile) -> JointD
     For each arm-1 centre x1 on the grid, the coincidence amplitude is
     ``A(x1, x2) = dx * sum_x conj(a_x1(x)) Psi(x, x2)``; arm-2 detection is
     pointwise.  The squared modulus is normalized over both coordinates.
-
-    This function finds the live (not all-zero) columns of ``Psi`` by one
-    O(n^2) scan and hands them to the product that
-    :func:`joint_for_setup` feeds straight from the evolution; the rest of
-    the density is exact zeros.  See :func:`_joint` for the product.
+    This is the all-column definition: every column of ``Psi`` enters the
+    product.
     """
-    g, psi = Psi.grid, Psi.values
-    live = np.flatnonzero(np.any(psi != 0, axis=0))
-    return _joint(g, psi if len(live) == g.n else psi[:, live], live, detector1)
+    return _joint(Psi.grid, Psi.values, np.arange(Psi.grid.n), detector1)
 
 
 def _joint(
     g: TransverseGrid, psi: np.ndarray, live: np.ndarray, detector1: DetectorProfile
 ) -> JointDistribution:
-    """The joint density of a pair amplitude held as its live columns:
-    ``psi`` (n, m) holds the columns ``live`` (sorted) of the n x n
-    amplitude, whose other columns are all zero.
+    """The joint density of a pair amplitude held as the columns that
+    enter the product: ``psi`` (n, m) holds the columns ``live`` (sorted)
+    of the n x n amplitude, whose other columns are all zero.
 
-    A block of ``_MIN_BLOCK_ROWS`` rows samples its rows of the detector
-    bank and squares its rows of ``A`` into the density, so the bank and
-    ``A`` exist a block at a time.  Blocks run on a pool of a thread per
-    CPU, at most one per block, made for this call (a pool kept at module
-    level would have no threads in a forked child), or inline if one.  The
-    BLAS computes a row of a product by the same operations whichever rows
-    share its call, so the bits do not depend on the CPU count
-    (``tests/test_predict.py`` pins this).  One sum over the whole table
-    normalizes it.
-
-    Only the m live columns enter the product.  Each column keeps the full
-    product's bits if there are at least two (one goes to the
-    matrix-vector routine, which rounds differently, so a lone live column
-    gets a dead neighbour) and the bank is real, as every
-    ``DETECTOR_SHAPES`` profile is.  With a complex bank, OpenBLAS's
-    remainder kernel rounds the columns past the last multiple of 4
-    differently (about 5e-16 relative), so a complex detector profile may
-    move the joint's last bits.
-
-    Each block's bank is sampled only on its band: from its first centre
-    minus the shape's support half-width to its last centre plus it, with
-    a margin of one sample, widened outward to multiples of
-    ``_BAND_ALIGN`` (128) and clipped to the window.  The product is
-    ``conj(bank_band) @ psi[lo:hi]``, O(n w m) for a band of w columns;
-    the bank's row norms stay full-width sums, O(n^2).  The columns left
-    out are exact zeros, and they change no bit only because OpenBLAS's
-    kernel blocking sums the inner dimension in chunks that the 128
-    alignment keeps in place (multiples of 64 did not);
-    ``TestBandedProduct`` in ``tests/test_predict.py`` pins it for every
-    shape.  Flushing the Gaussian's subnormal tail and splitting the
-    complex product into two real ones would be faster still, but the
-    first changes bytes and the second's bits are unverified, so neither
-    is done.
+    The product multiplies exactly these columns, a block of rows and its
+    detector band at a time; one sum over the whole table normalizes it.
+    The blocks, threads and band are those of the module docstring.
     """
-    if len(live) == 1:  # add a dead neighbour: see above
-        j = (live[0] + 1) % g.n
-        psi, live = np.insert(psi, int(j > live[0]), 0, axis=1), np.sort([live[0], j])
     cols = slice(None) if len(live) == g.n else live
     dens = np.zeros((g.n, g.n))
     # a row is 0 farther than `reach` samples from its centre, with a
@@ -317,8 +301,8 @@ def joint_for_setup(setup: ImagingSetup) -> JointDistribution:
     """Joint density for an imaging setup via the forward route.
 
     ``joint_distribution(evolve_joint(...), detector1)`` bit for bit, but
-    the pair amplitude goes from the evolution to the product as its live
-    columns: no n x n zero-filled table and no scan for them.
+    the pair amplitude goes from the evolution to the product as the
+    columns :func:`_live_columns` chooses: no n x n zero-filled table.
     """
     psi, live = _live_columns(setup.source, forward_arm1_chain(setup.arm1), setup.arm2)
     return _joint(setup.grid, psi, live, setup.detector1)

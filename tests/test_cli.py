@@ -2,12 +2,22 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biphoton import ConfigError, FourierLens, Mask, Propagate
+from biphoton import (
+    ConfigError,
+    Field,
+    FourierLens,
+    Mask,
+    Propagate,
+    SweepError,
+    conditional_from_joint,
+    joint_for_setup,
+)
 from biphoton.cli import (
     _SCHEMA,
     DETECTOR_SHAPES,
@@ -19,6 +29,7 @@ from biphoton.cli import (
     parse_config,
     run,
     serialize_config,
+    verify_report,
 )
 from biphoton.retrodict import sweep_conditioning
 
@@ -707,3 +718,20 @@ class TestVerify:
         first, second = capsys.readouterr().out.splitlines()
         assert first.startswith("PASS  floor") and ">= 0.5, margin +3.000e-01" in first
         assert second.startswith("FAIL  ceiling") and "<= 0.01, margin -1.000e-02" in second
+
+
+def test_the_library_never_prints(tmp_path, capfd):
+    # the library reports through return values and exceptions; only
+    # main() renders, so nothing reaches either stream
+    cfg = parse_config(
+        "grid.n = 256\ndetector.sigma = 0.2\ndetector.x1 = -0.5, 0.5\noutput.stages = true\n"
+    )
+    setup = build_setup(cfg)
+    assert len(run(cfg, str(tmp_path / "out"))) == 4
+    g = setup.grid
+    dark = replace(setup, arm1=(*setup.arm1, Mask(Field(g, np.zeros(g.n)))))
+    with pytest.raises(SweepError):
+        sweep_conditioning(dark, [-0.5, 0.5])
+    conditional_from_joint(joint_for_setup(setup), 0.5)
+    assert all(c.passed for c in verify_report(fast=True))
+    assert capfd.readouterr() == ("", "")

@@ -13,7 +13,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import (
-    BiphotonField,
     DarkConditionalError,
     DetectorProfile,
     EdgeLeakageError,
@@ -32,6 +31,7 @@ from biphoton import (
     sweep_conditioning,
 )
 from biphoton.elements import compile_chain
+from conftest import rank2_source
 
 G = make_grid(64, 16.0)  # dx = 0.25
 
@@ -68,22 +68,9 @@ DETECTORS = st.one_of(
 )
 
 
-def rank2_source():
-    """The two-term source of ``TestNonDiagonalSource`` on this grid."""
-    x = G.x
-
-    def bump(c, w, tilt):
-        return np.exp(-((x - c) ** 2) / (2 * w**2) + 1j * tilt * x)
-
-    B = np.outer(bump(-0.5, 1.5, 0.7), bump(1.0, 0.8, -1.1)) + (0.6 - 0.3j) * np.outer(
-        bump(0.8, 1.2, -0.4), bump(-1.2, 0.6, 2.0)
-    )
-    return BiphotonField(G, B)
-
-
 SOURCES = st.one_of(
     st.floats(1 / 1.5, 2.0).map(lambda kappa: make_biphoton_delta_correlated(G, kappa)),
-    st.just(rank2_source()),
+    st.just(rank2_source(G)),
 )
 
 

@@ -1,6 +1,7 @@
 """Forward oracle: joint evolution, Bayes conditioning, marginals."""
 
 import multiprocessing
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -176,6 +177,19 @@ def _spy_on_blocks(monkeypatch):
     return centres, pools
 
 
+def _spy_on_products(monkeypatch):
+    """Record the operand shapes of every np.matmul."""
+    products = []
+    matmul = np.matmul
+
+    def spy(a, b, **kw):
+        products.append((a.shape, b.shape))
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return products
+
+
 def _assert_blocks_tile(centres, g):
     # no block over _MIN_BLOCK_ROWS centres, and every centre exactly once
     assert all(len(c) <= predict._MIN_BLOCK_ROWS for c in centres)
@@ -229,6 +243,14 @@ class TestBlockedMatmul:
         _assert_blocks_tile(centres, g)
         workers = min(cpus, len(sizes))
         assert pools == ([] if workers == 1 else [workers])
+
+    def test_cpus_without_an_affinity_call(self, monkeypatch):
+        # the only branch on platforms without os.sched_getaffinity
+        setup = _benchmark_setup(512, "double-slit")
+        ref = joint_for_setup(setup).density.tobytes()
+        monkeypatch.delattr(predict.os, "sched_getaffinity", raising=False)
+        assert predict._cpus() == (os.cpu_count() or 1)
+        assert joint_for_setup(setup).density.tobytes() == ref
 
     def test_oracle_runs_in_a_forked_child(self, tmp_path, monkeypatch):
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -289,14 +311,7 @@ class TestBandedProduct:
         dens /= float(dens.sum()) * g.dx**2
         dens = dens.tobytes()
 
-        products = []
-        matmul = np.matmul
-
-        def spy(a, b, **kw):
-            products.append((a.shape, b.shape))
-            return matmul(a, b, **kw)
-
-        monkeypatch.setattr(np, "matmul", spy)
+        products = _spy_on_products(monkeypatch)
         for cpus in (1, 2):
             _affinity(monkeypatch, cpus)
             products.clear()
@@ -346,8 +361,8 @@ class TestMemory:
     def test_peak_of_the_joint_alone(self, monkeypatch):
         # joint_distribution on the no-mask oracle-verify scenario at
         # n = 1024 on two CPUs: the density plus a bank block per thread,
-        # 1.63 x 16n^2.  Every column is live, and a boolean column index
-        # would copy Psi whole (2.63)
+        # 1.63 x 16n^2.  The product reads Psi's rows in place; a copy of
+        # Psi would add 1.0
         n = 1024
         setup = _benchmark_setup(n, "none")
         arm1 = predict.forward_arm1_chain(setup.arm1)
@@ -420,9 +435,9 @@ def _coded_setup(open_at, arm2):
 
 
 class TestLiveColumns:
-    """joint_for_setup hands evolve_joint's live columns straight to the
-    product; joint_distribution(evolve_joint(...)) scatters them into an
-    n x n table and scans it for them.  The bytes are the same."""
+    """joint_for_setup hands the evolution's live columns straight to the
+    product; joint_distribution(evolve_joint(...)) multiplies every column
+    of the n x n table they are scattered into.  The bytes are the same."""
 
     def _assert_same_bytes(self, setup, monkeypatch):
         Psi = evolve_joint(setup.source, predict.forward_arm1_chain(setup.arm1), setup.arm2)
@@ -437,7 +452,9 @@ class TestLiveColumns:
 
     @pytest.mark.parametrize("arm2", ["empty", "mask", "propagate"])
     @pytest.mark.parametrize(
-        "open_at", [(40,), (40, 41), (255,), (3, 90, 91, 200)], ids=["1", "2", "last", "4"]
+        "open_at",
+        [(0,), (40,), (255,), (40, 41), (7, 200), (3, 90, 91, 200)],
+        ids=["first", "1", "last", "2", "2-apart", "4"],
     )
     def test_setups_built_in_code(self, monkeypatch, open_at, arm2):
         # one live column gets a dead neighbour, which wraps to column 0
@@ -452,16 +469,9 @@ class TestLiveColumns:
     def test_product_takes_only_the_live_columns(self, monkeypatch):
         # a silent fall-back to the zero-filled table would pass the bits
         setup = _benchmark_setup(512, "double-slit")
-        products = []
-        matmul = np.matmul
-
-        def spy(a, b, **kw):
-            products.append(b.shape)
-            return matmul(a, b, **kw)
-
-        monkeypatch.setattr(np, "matmul", spy)
+        products = _spy_on_products(monkeypatch)
         joint_for_setup(setup)
-        assert products and all(1 < m < setup.grid.n for _, m in products)
+        assert products and all(1 < b[1] < setup.grid.n for _, b in products)
 
 
 def _open_mask(g, open_at):
@@ -490,13 +500,13 @@ def _spy_on_ops(monkeypatch):
 
 # case -> (source, arm 1, arm 2, mask's open indices), arms in physical order
 SKIP_CASES = {
-    # both rules: the mask acts on the pump, whose dead entries never
-    # become rows, then dead columns leave the product
+    # the mask acts on the pump, whose dead entries never become rows;
+    # with an empty arm 2 only the live columns enter the product
     "delta-arm1-mask": ("delta", ["mask", "lens", "propagate"], [], range(20, 46)),
-    # the same pair amplitude held dense: the mask kills whole rows of
-    # arm 1, which evolve as zeros and leave the product as dead columns
+    # the same pair amplitude held dense enters whole: its dead columns
+    # are multiplied as zeros
     "diagonal-arm1-mask": ("diagonal", ["mask", "lens", "propagate"], [], range(20, 46)),
-    # dense source: no row of arm 1 dies, the arm-2 mask kills columns
+    # dense source: it enters whole, and the arm-2 mask zeroes columns
     "dense-arm2-mask": ("dense", ["lens"], ["propagate", "mask"], range(20, 46)),
     "one-live-column": ("delta", ["mask", "propagate"], [], (40,)),
     # its dead neighbour wraps to column 0
@@ -522,6 +532,10 @@ def _skip_setup(g, rng, case):
 
 
 class TestZeroSkip:
+    """The live-column path that joint_for_setup runs after
+    forward_arm1_chain, against a dense reference that evolves and
+    multiplies every column on its own."""
+
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     @pytest.mark.parametrize("detector", sorted(DETECTORS))
     @pytest.mark.parametrize("case", sorted(SKIP_CASES))
@@ -537,37 +551,53 @@ class TestZeroSkip:
         A = g.dx * (np.conj(_detector_rows(det, g, g.x)) @ psi)
         dens = np.abs(A) ** 2
         dens /= float(dens.sum()) * g.dx**2
+        dens = dens.tobytes()
 
         _affinity(monkeypatch, cpus)
         monkeypatch.setattr(predict, "_MIN_BLOCK_ROWS", 2)
+        products = _spy_on_products(monkeypatch)
+        # the two-step path is the all-column definition
+        assert joint_distribution(evolve_joint(B, arm1, arm2), det).density.tobytes() == dens
+        assert products and all(b == (a[1], g.n) for a, b in products)
+
+        products.clear()
         ops = _spy_on_ops(monkeypatch)
-        products = []
-        matmul = np.matmul
-
-        def spy(a, b, **kw):
-            products.append((a.shape, b.shape))
-            return matmul(a, b, **kw)
-
-        monkeypatch.setattr(np, "matmul", spy)
-        J = joint_distribution(evolve_joint(B, arm1, arm2), det)
-        assert J.density.tobytes() == dens.tobytes()
-
+        J = predict._joint(g, *predict._live_columns(B, arm1, arm2), det)
+        assert J.density.tobytes() == dens
         # a delta source's leading mask acts on its pump, so every arm-1 op
-        # sees only the live rows; the product only the live columns, and
-        # never fewer than two, of the block's detector band of rows
-        if SKIP_CASES[case][0] == "delta":
+        # sees only the live rows, and with an empty arm 2 the product takes
+        # only the live columns, never fewer than two (a lone one's dead
+        # neighbour joins after arm 1); any other amplitude enters whole
+        delta = SKIP_CASES[case][0] == "delta"
+        if delta:
             assert ops and ops == [(live, g.n)] * len(ops)
-        assert all(b == (a[1], max(2, live)) for a, b in products)
+        m = max(2, live) if delta else g.n
+        assert products and all(b == (a[1], m) for a, b in products)
         assert sum(a[0] for a, _ in products) == g.n
+
+    def test_dead_neighbour_holds_no_negative_zero(self, small_grid):
+        # a lens then a chirp turn an evolved zero row into -0s in places;
+        # the dead neighbour is added after arm 1, so evolve_joint's table
+        # keeps +0 there, as it does in every other dead column
+        g = small_grid
+        B = make_biphoton_delta_correlated(g, kappa=0.5)
+        arm1 = (_open_mask(g, (40,)), FourierLens(), QuadraticPhase(F, KZ))
+        psi, live = predict._live_columns(B, arm1, ())
+        assert list(live) == [40, 41]
+        dead = psi[:, 1]
+        assert not (np.signbit(dead.real) | np.signbit(dead.imag)).any()
 
     def test_all_zero_mask_is_dark(self, small_grid, monkeypatch):
         g = small_grid
         B = make_biphoton_delta_correlated(g, kappa=0.5)
         arm1 = (_open_mask(g, ()), Propagate(0.5, KZ))
         ops = _spy_on_ops(monkeypatch)
+        det = DETECTORS["gaussian"]
         with pytest.raises(DarkConditionalError):
-            joint_distribution(evolve_joint(B, arm1, ()), DETECTORS["gaussian"])
+            predict._joint(g, *predict._live_columns(B, arm1, ()), det)
         assert ops == [(0, g.n)]
+        with pytest.raises(DarkConditionalError):
+            joint_distribution(evolve_joint(B, arm1, ()), det)
 
 
 class TestConditionalAndMarginal:

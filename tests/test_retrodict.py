@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from biphoton import (
-    BiphotonField,
     DarkConditionalError,
     DetectorProfile,
     EdgeLeakageError,
@@ -26,6 +25,7 @@ from biphoton import (
     run_retrodictive,
     sweep_conditioning,
 )
+from conftest import rank2_source
 
 F, KZ = 2.0, 50.0
 
@@ -220,21 +220,12 @@ class TestNonDiagonalSource:
 
     @staticmethod
     def low_rank_setup(grid, x1):
-        x = grid.x
-
-        def bump(c, w, tilt):
-            return np.exp(-((x - c) ** 2) / (2 * w**2) + 1j * tilt * x)
-
-        # two product terms with distinct centres, widths and phase tilts
-        B = np.outer(bump(-0.5, 1.5, 0.7), bump(1.0, 0.8, -1.1)) + (
-            0.6 - 0.3j
-        ) * np.outer(bump(0.8, 1.2, -0.4), bump(-1.2, 0.6, 2.0))
         t = double_slit(grid) * np.exp(1j * 0.5 * grid.x)
         return ImagingSetup(
             grid=grid,
             arm1=(Propagate(F, KZ), FourierLens(), Mask(Field(grid, t))),
             arm2=(Propagate(0.5, KZ),),
-            source=BiphotonField(grid, B),
+            source=rank2_source(grid),
             detector1=DetectorProfile("gaussian", center=x1, sigma=0.2),
         )
 
