@@ -18,10 +18,11 @@ no threads in a forked child), or inline on one CPU.  The BLAS computes a
 row of a product by the same operations whichever rows share its call, so
 the bits do not depend on the CPU count.
 
-Memory.  No n x n bank or coincidence amplitude exists: the joint holds
-the pair amplitude's m product columns (16 n m bytes), the density
-(8 n^2) and one bank block per thread.  Where the whole amplitude enters,
-m = n, and the evolution's own n x n temporaries set the peak.
+Memory.  No n x n bank, coincidence amplitude or density exists: the
+joint holds the pair amplitude's m product columns (16 n m bytes), the
+density's m columns (8 n m) and one bank block per thread.  Where the
+whole amplitude enters, m = n, and the evolution's own n x n temporaries
+set the peak.
 
 Exact zeros.  Two rules skip work whose result is exactly zero, and the
 joint keeps its bits.
@@ -30,7 +31,8 @@ joint keeps its bits.
   pointwise arm-1 elements (``Mask``, ``QuadraticPhase``) act on the pump
   alone, and its dead entries never become rows of the evolution.  With
   an empty arm 2 those rows are the amplitude's only nonzero columns, and
-  only they enter the product; the density holds exact zeros elsewhere.
+  only they enter the product; the density's other columns are exact
+  zeros, and the joint does not hold them.
   A lone live entry i also keeps entry (i + 1) % n as a dead row, added
   as zeros after arm 1 (an op could turn a zero into -0): a one-column
   product goes to the matrix-vector routine, which rounds differently.
@@ -59,6 +61,11 @@ hands its product columns straight to the product.
 :func:`joint_distribution` is the all-column definition: it multiplies
 every column of the table it is given, such as the n x n table
 :func:`evolve_joint` scatters the columns into.  Both give the same bytes.
+Each joint holds the density columns its product computed, all n on the
+all-column route.  The normalizing total (:func:`_total`), the
+conditional, the marginal and the mutual information read those columns
+and keep the bits of the same sums over the whole table.  A joint with
+fewer than n columns builds its n x n table only when ``density`` is read.
 """
 
 from __future__ import annotations
@@ -95,18 +102,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class JointDistribution:
-    """Normalized joint detection density P(x1, x2) on grid x grid."""
+    """Normalized joint detection density P(x1, x2) on grid x grid, held as
+    the columns that can be nonzero.
+
+    ``columns`` (n, m, read-only) holds the columns ``live`` (sorted) of
+    the density; every other column is exact zeros.  The oracle holds the
+    m columns its product computed.  The constructor takes a whole n x n
+    ``density``, copies and checks it, and holds it as m = n columns.
+    """
 
     grid: TransverseGrid
-    density: np.ndarray
+    columns: np.ndarray
+    live: np.ndarray
     detector1: DetectorProfile
 
-    def __post_init__(self):
-        n = self.grid.n
-        d = np.array(self.density, dtype=np.float64, copy=True)
-        object.__setattr__(self, "density", _frozen(d, (n, n), "density"))
+    def __init__(self, grid: TransverseGrid, density, detector1: DetectorProfile):
+        n = grid.n
+        d = _frozen(np.array(density, dtype=np.float64, copy=True), (n, n), "density")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "columns", d)
+        object.__setattr__(self, "live", _readonly(np.arange(n)))
+        object.__setattr__(self, "detector1", detector1)
+
+    @property
+    def density(self) -> np.ndarray:
+        """The n x n density, read-only: the held array itself when m = n,
+        else a fresh table the columns are scattered into."""
+        if len(self.live) == self.grid.n:
+            return self.columns
+        return _readonly(_table(self.columns, self.live, self.grid.n))
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:
@@ -141,12 +167,56 @@ _MIN_BLOCK_ROWS = 256
 # inner dimension in the dense product's chunks: see the module docstring.
 _BAND_ALIGN = 128
 
+# numpy sums a contiguous float array in blocks of this many entries, and
+# pairs the block sums in a binary tree: see :func:`_total`.
+_PAIRWISE_BLOCK = 128
+
 
 def _table(psi: np.ndarray, live: np.ndarray, n: int) -> np.ndarray:
     """The n x n table whose columns ``live`` are ``psi``'s, zero elsewhere."""
     full = np.zeros((n, n), dtype=psi.dtype)
     full[:, live] = psi
     return full
+
+
+def _chunk_sums(cols: np.ndarray, live: np.ndarray, n: int, size: int):
+    """The sums of ``_table(cols, live, n)``'s rows over each run of
+    ``size`` columns that holds a live column: ``(chunks, sums)``, with
+    ``sums[i, j]`` the pairwise sum of row i's chunk ``chunks[j]``.
+
+    Only those chunks are built; with every column live, none is.
+    """
+    if len(live) == n:
+        return np.arange(n // size), cols.reshape(n, n // size, size).sum(axis=2)
+    chunk = live // size
+    hit = np.unique(chunk)
+    t = np.zeros((n, len(hit), size))
+    t[:, np.searchsorted(hit, chunk), live % size] = cols
+    return hit, t.sum(axis=2)
+
+
+def _total(cols: np.ndarray, live: np.ndarray, n: int) -> float:
+    """``_table(cols, live, n).sum()`` bit for bit, without the table.
+
+    numpy sums a contiguous float array pairwise: each block of
+    ``_PAIRWISE_BLOCK`` entries by its own unrolled loop, and the block
+    sums in a perfect binary tree (n^2 is a power of two).  With n at least
+    one block, a block is a run of a row, so the leaves are the chunk sums
+    of :func:`_chunk_sums`, zero where no column is live, halved pairwise.
+    This rests on numpy's summation, not on a promise of its API;
+    ``TestTotal`` in ``tests/test_predict.py`` pins it.
+    """
+    if len(live) == n:  # the table itself
+        return float(cols.sum())
+    if n < _PAIRWISE_BLOCK:  # a block spans rows; the table is small
+        return float(_table(cols, live, n).sum())
+    hit, sums = _chunk_sums(cols, live, n, _PAIRWISE_BLOCK)
+    leaves = np.zeros((n, n // _PAIRWISE_BLOCK))
+    leaves[:, hit] = sums
+    v = leaves.ravel()
+    while v.size > 1:
+        v = v[0::2] + v[1::2]
+    return float(v[0])
 
 
 def _live_columns(B: BiphotonField | DeltaCorrelatedSource, arm1, arm2):
@@ -227,11 +297,12 @@ def _joint(
     of the n x n amplitude, whose other columns are all zero.
 
     The product multiplies exactly these columns, a block of rows and its
-    detector band at a time; one sum over the whole table normalizes it.
-    The blocks, threads and band are those of the module docstring.
+    detector band at a time, into the m columns of the density that can be
+    nonzero; :func:`_total` normalizes them with the bits of a sum over the
+    whole table.  The blocks, threads and band are those of the module
+    docstring.
     """
-    cols = slice(None) if len(live) == g.n else live
-    dens = np.zeros((g.n, g.n))
+    dens = np.empty((g.n, len(live)))  # the blocks tile the rows
     # a row is 0 farther than `reach` samples from its centre, with a
     # margin of one; min() keeps a huge reach finite
     reach = math.ceil(min(_detector_reach(detector1, g) / g.dx, g.n)) + 1
@@ -242,7 +313,7 @@ def _joint(
         bank = _detector_rows(detector1, g, g.x[rows], slice(lo, hi))
         a = np.matmul(np.conj(bank, out=bank), psi[lo:hi])
         a *= g.dx
-        dens[rows, cols] = np.abs(a) ** 2
+        dens[rows] = np.abs(a) ** 2
 
     blocks = [slice(i, i + _MIN_BLOCK_ROWS) for i in range(0, g.n, _MIN_BLOCK_ROWS)]
     workers = min(_cpus(), len(blocks))
@@ -252,18 +323,21 @@ def _joint(
     else:
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(block, blocks))
-    total = float(dens.sum())
+    total = _total(dens, live, g.n)
     if total < DARK_WEIGHT:
         raise DarkConditionalError("joint distribution carries no weight")
-    dens[:, cols] /= total * g.dx**2
-    dens = _frozen(dens, (g.n, g.n), "density")
-    return _unchecked(JointDistribution, grid=g, density=dens, detector1=detector1)
+    dens /= total * g.dx**2
+    dens = _frozen(dens, (g.n, len(live)), "density")
+    return _unchecked(
+        JointDistribution, grid=g, columns=dens, live=_readonly(live), detector1=detector1
+    )
 
 
 def conditional_from_joint(J: JointDistribution, x1: float) -> ConditionalDistribution:
     """Bayes route: P(x2 | x1) = P(x1, x2) / P(x1), nearest grid row."""
     g = J.grid
-    row = J.density[g.index_of(x1)]
+    row = np.zeros(g.n)
+    row[J.live] = J.columns[g.index_of(x1)]
     weight = float(row.sum()) * g.dx
     if weight < DARK_WEIGHT:
         raise DarkConditionalError(
@@ -275,7 +349,12 @@ def conditional_from_joint(J: JointDistribution, x1: float) -> ConditionalDistri
 def marginal_arm2(J: JointDistribution) -> ConditionalDistribution:
     """Arm-2 detection density irrespective of the arm-1 outcome."""
     g = J.grid
-    m = J.density.sum(axis=0) * g.dx
+    # a joint never holds exactly one column (a lone live column keeps a
+    # dead neighbour), so this sums down each column in row order, as the
+    # table's sum does
+    m = np.zeros(g.n)
+    m[J.live] = J.columns.sum(axis=0)
+    m *= g.dx
     m /= m.sum() * g.dx
     return ConditionalDistribution(g, m, None)
 
@@ -319,7 +398,12 @@ def mutual_information_bits(J: JointDistribution, bins: int = 64) -> float:
     if bins < 2 or n % bins != 0:
         raise ValueError(f"bins must divide n={n}")
     m = n // bins
-    p = J.density.reshape(bins, m, bins, m).sum(axis=(1, 3))
+    # the table's reshape(bins, m, bins, m).sum(axis=(1, 3)) bit for bit:
+    # each row's pairwise sum over a bin's m columns, then the bin's rows
+    # added in order
+    hit, sums = _chunk_sums(J.columns, J.live, n, m)
+    p = np.zeros((bins, bins))
+    p[:, hit] = np.cumsum(sums.reshape(bins, m, -1), axis=1)[:, -1]
     p = p / p.sum()
     p1 = p.sum(axis=1, keepdims=True)
     p2 = p.sum(axis=0, keepdims=True)

@@ -15,6 +15,7 @@ from biphoton import (
     Field,
     FourierLens,
     ImagingSetup,
+    JointDistribution,
     Mask,
     Propagate,
     QuadraticPhase,
@@ -31,6 +32,7 @@ from biphoton import (
 )
 from biphoton import cli, predict
 from biphoton.elements import _detector_rows, apply_chain_forward
+from biphoton.retrodict import DARK_WEIGHT
 from conftest import random_field
 
 F, KZ = 2.0, 50.0
@@ -347,14 +349,15 @@ def _peak_of_joint(setup):
 
 
 class TestMemory:
-    @pytest.mark.parametrize("mask, bound", [("double-slit", 1.25), ("none", 4.01)])
+    @pytest.mark.parametrize("mask, bound", [("double-slit", 0.75), ("none", 4.01)])
     def test_peak_of_the_oracle(self, monkeypatch, mask, bound):
         # the benchmark's oracle-verify scenario at n = 1024 on two CPUs,
         # each of whose threads holds one block of the bank; the peak in
         # units of one n x n complex table.  With the double slit it is
-        # Psi's live columns, the density (0.5) and the blocks: 0.84 on one
-        # CPU, 0.93-1.15 on two as the threads' blocks overlap; with no
-        # mask, evolve_joint's four n x n tables (plus vectors of n)
+        # Psi's live columns, the density's and the blocks: 0.35 on one
+        # CPU, 0.46-0.62 on two as the threads' blocks overlap, where an
+        # n x n float density alone would be 0.5; with no mask,
+        # evolve_joint's four n x n tables (plus vectors of n)
         _affinity(monkeypatch, 2)
         assert _peak_of_joint(_benchmark_setup(1024, mask))[1] <= bound
 
@@ -378,16 +381,110 @@ class TestMemory:
 
     def test_keystone_at_n_8192(self, monkeypatch):
         # the image-large-grid scenario, checked against its own oracle:
-        # the density (0.5 x 16n^2) plus Psi's 26 live columns and a bank
-        # block per thread, where a zero-filled Psi alone would be 1.0
+        # Psi's 26 live columns, the density's and a bank block per thread,
+        # 0.04 x 16n^2 on two CPUs, where an n x n float density alone
+        # would be 0.5 and a zero-filled Psi 1.0
         setup = _benchmark_setup(8192, "double-slit")
         _affinity(monkeypatch, 2)
         J, peak = _peak_of_joint(setup)
-        assert peak <= 0.75
+        assert peak <= 0.1
         xs = [k * setup.grid.dx for k in (-40, 0, 37)]
         for x1, r in zip(xs, sweep_conditioning(setup, xs)):
             oracle = conditional_from_joint(J, x1).density
             assert np.max(np.abs(r.distribution.density - oracle)) <= 1e-8
+
+
+def _total_cases(n, rng):
+    """(live, cols) for TestTotal: random column sets, few and many; each
+    of the columns 0, 127, 128 and n - 1 alone with its dead (all-zero)
+    neighbour; those columns together; every column."""
+    big = n >= 4096  # each case builds a 128 MiB table
+    sizes = [*rng.integers(1, min(n, 40) + 1, size=4 if big else 10)]
+    sizes += [*rng.integers(1, n + 1, size=2 if big else 10)]
+    sets = [np.sort(rng.choice(n, k, replace=False)) for k in sizes]
+    edges = sorted({c for c in (0, 127, 128, n - 1) if c < n})
+    lone = [np.sort([c, (c + 1) % n]) for c in edges]
+    cases = []
+    for live in sets + lone + [np.array(edges), np.arange(n)]:
+        # densities over ten decades, so that the order of the sum shows
+        cols = rng.random((n, len(live))) ** 3 * 10.0 ** rng.integers(-5, 5, len(live))
+        cases.append((live, cols))
+    for (live, cols), c in zip(cases[len(sets) : len(sets) + len(lone)], edges):
+        cols[:, live != c] = 0.0
+    return cases
+
+
+class TestTotal:
+    """predict._total is the whole table's sum without the table.  It
+    rests on numpy's pairwise sum, as ``_detector_rows``' padded norm does:
+    each block of 128 contiguous entries summed by its own unrolled loop,
+    the block sums paired in a perfect binary tree.  A numpy that sums in
+    another tree fails here, not in a joint's last bit."""
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 128, 256, 1024, 4096])
+    def test_equals_the_sum_of_the_table(self, n):
+        rng = np.random.default_rng(n)
+        naive_differs = False
+        for live, cols in _total_cases(n, rng):
+            ref = float(predict._table(cols, live, n).sum()).hex()
+            assert predict._total(cols, live, n).hex() == ref
+            naive_differs |= float(cols.sum()).hex() != ref
+        # the columns' own sum would not do, so the cases can tell
+        assert naive_differs
+
+
+def _mutual_information_of_table(d, bins):
+    """mutual_information_bits by numpy's sums over the n x n table."""
+    m = len(d) // bins
+    p = d.reshape(bins, m, bins, m).sum(axis=(1, 3))
+    p = p / p.sum()
+    p1 = p.sum(axis=1, keepdims=True)
+    p2 = p.sum(axis=0, keepdims=True)
+    mask = p > 0
+    return float(np.sum(p[mask] * np.log2(p[mask] / (p1 @ p2)[mask])))
+
+
+# joints held as their live columns (the first two) or whole
+TWO_FORMS = {
+    "double-slit": lambda: _benchmark_setup(2048, "double-slit"),
+    "lone-column": lambda: _coded_setup((40,), "empty"),
+    "arm2": lambda: _coded_setup((40, 41), "propagate"),
+    "no-mask": lambda: _benchmark_setup(512, "none"),
+}
+
+
+class TestTwoForms:
+    """A joint held as its live columns and the same density held whole,
+    as the constructor holds it, give every consumer the same bytes: those
+    of numpy's sums over the n x n table."""
+
+    @pytest.mark.parametrize("case", list(TWO_FORMS))
+    def test_consumers_read_the_same_bytes(self, case):
+        setup = TWO_FORMS[case]()
+        g = setup.grid
+        J = joint_for_setup(setup)
+        d = J.density
+        K = JointDistribution(g, d, setup.detector1)
+        assert (len(J.live) < g.n) == (case in ("double-slit", "lone-column"))
+        assert K.density.tobytes() == d.tobytes()
+        for joint in (J, K):
+            assert not joint.density.flags.writeable
+            assert not joint.columns.flags.writeable
+            assert (joint.density is joint.columns) == (len(joint.live) == g.n)
+        lit = np.flatnonzero(d.sum(axis=1) * g.dx >= DARK_WEIGHT)
+        assert lit.size
+        for i in lit:
+            ref = (d[i] / (float(d[i].sum()) * g.dx)).tobytes()
+            assert conditional_from_joint(J, g.x[i]).density.tobytes() == ref
+            assert conditional_from_joint(K, g.x[i]).density.tobytes() == ref
+        ref = d.sum(axis=0) * g.dx
+        ref /= ref.sum() * g.dx
+        for bins in (2, 64):
+            mi = _mutual_information_of_table(d, bins).hex()
+            assert mutual_information_bits(J, bins).hex() == mi
+            assert mutual_information_bits(K, bins).hex() == mi
+        assert marginal_arm2(J).density.tobytes() == ref.tobytes()
+        assert marginal_arm2(K).density.tobytes() == ref.tobytes()
 
 
 def _scenario_setup(scenario, mask, shape, n):
