@@ -162,9 +162,11 @@ def _parse_n(raw: str) -> int:
 
 
 def _parse_positions(raw: str) -> tuple:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
+    parts = [p.strip() for p in raw.split(",")]
+    if parts == [""]:
         raise ValueError("expected at least one position")
+    if "" in parts:
+        raise ValueError(f"empty position in {raw!r}")
     return tuple(_parse_float(p) for p in parts)
 
 

@@ -8,6 +8,16 @@ row normalization.  It is deliberately assumption-free (dense tables,
 nearest-row conditioning) and serves as the independent ground truth for
 the detection-first pipeline.  The oracle's rules are stated here once.
 
+Entry point.  :func:`joint_for_setup` is the one route to a joint.  Its
+bytes are those of the dense definition: the coincidence amplitude
+``A(x1, x2) = dx * sum_x conj(a_x1(x)) Psi(x, x2)`` at every grid centre
+x1, as one product of the whole n x n detector bank and amplitude,
+squared and normalized by the whole table's sum.  A bare amplitude
+``Psi``'s joint is that of its setup with empty arms,
+``joint_for_setup(ImagingSetup(Psi.grid, (), (), Psi, detector1))``.
+:func:`evolve_joint` returns the evolved n x n amplitude, which the
+benchmark's replay reads.
+
 Blocks and threads.  The joint is built in blocks of ``_MIN_BLOCK_ROWS``
 rows.  A block samples its rows of the detector bank, multiplies them into
 the pair amplitude and squares them into its rows of the density.  Blocks
@@ -22,7 +32,10 @@ Memory.  No n x n bank, coincidence amplitude or density exists: the
 joint holds the pair amplitude's m product columns (16 n m bytes), the
 density's m columns (8 n m) and one bank block per thread.  Where the
 whole amplitude enters, m = n, and the evolution's own n x n temporaries
-set the peak.
+set the peak.  The normalizing total (:func:`_total`), the conditional,
+the marginal and the mutual information read the density's columns with
+the bits of the same sums over the whole table; a joint with fewer than n
+columns builds its n x n table only when ``density`` is read.
 
 Exact zeros.  Two rules skip work whose result is exactly zero, and the
 joint keeps its bits.
@@ -35,10 +48,11 @@ joint keeps its bits.
   zeros, and the joint does not hold them.
   A lone live entry i also keeps entry (i + 1) % n as a dead row, added
   as zeros after arm 1 (an op could turn a zero into -0): a one-column
-  product goes to the matrix-vector routine, which rounds differently.
+  product goes to the matrix-vector routine, which rounds differently
+  from the dense product.
   A nonempty arm 2 mixes the columns, so there, and for a dense source,
-  the whole amplitude enters.  A column keeps the all-column product's
-  bits only with a real bank, as every ``DETECTOR_SHAPES`` profile is;
+  the whole amplitude enters.  A column keeps the dense product's bits
+  only with a real bank, as every ``DETECTOR_SHAPES`` profile is;
   with a complex one, OpenBLAS's remainder kernel rounds the columns past
   the last multiple of 4 differently (about 5e-16 relative).
 * The detector band.  A detector row is exactly zero farther from its
@@ -55,22 +69,12 @@ joint keeps its bits.
 With a band of w columns and m product columns the product costs
 O(n w m), O(n^2 w) with every column live, next to O(n^2 log n) for the
 evolution and O(n^2) for the row norms.
-
-Routes.  :func:`joint_for_setup` is the live-column route: the evolution
-hands its product columns straight to the product.
-:func:`joint_distribution` is the all-column definition: it multiplies
-every column of the table it is given, such as the n x n table
-:func:`evolve_joint` scatters the columns into.  Both give the same bytes.
-Each joint holds the density columns its product computed, all n on the
-all-column route.  The normalizing total (:func:`_total`), the
-conditional, the marginal and the mutual information read those columns
-and keep the bits of the same sums over the whole table.  A joint with
-fewer than n columns builds its n x n table only when ``density`` is read.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -93,7 +97,6 @@ from .source import BiphotonField, DeltaCorrelatedSource
 __all__ = [
     "JointDistribution",
     "evolve_joint",
-    "joint_distribution",
     "conditional_from_joint",
     "marginal_arm2",
     "forward_arm1_chain",
@@ -277,18 +280,6 @@ def evolve_joint(
     return _unchecked(BiphotonField, grid=B.grid, values=v)
 
 
-def joint_distribution(Psi: BiphotonField, detector1: DetectorProfile) -> JointDistribution:
-    """Joint detection density from an evolved pair amplitude.
-
-    For each arm-1 centre x1 on the grid, the coincidence amplitude is
-    ``A(x1, x2) = dx * sum_x conj(a_x1(x)) Psi(x, x2)``; arm-2 detection is
-    pointwise.  The squared modulus is normalized over both coordinates.
-    This is the all-column definition: every column of ``Psi`` enters the
-    product.
-    """
-    return _joint(Psi.grid, Psi.values, np.arange(Psi.grid.n), detector1)
-
-
 def _joint(
     g: TransverseGrid, psi: np.ndarray, live: np.ndarray, detector1: DetectorProfile
 ) -> JointDistribution:
@@ -334,16 +325,20 @@ def _joint(
 
 
 def conditional_from_joint(J: JointDistribution, x1: float) -> ConditionalDistribution:
-    """Bayes route: P(x2 | x1) = P(x1, x2) / P(x1), nearest grid row."""
+    """Bayes route: P(x2 | x1) = P(x1, x2) / P(x1), nearest grid row.
+
+    The result's ``conditioning_position`` is that row's grid position.
+    """
     g = J.grid
+    i = g.index_of(x1)
     row = np.zeros(g.n)
-    row[J.live] = J.columns[g.index_of(x1)]
+    row[J.live] = J.columns[i]
     weight = float(row.sum()) * g.dx
     if weight < DARK_WEIGHT:
         raise DarkConditionalError(
             f"dark conditional at x1={x1:g}: row carries no weight"
         )
-    return ConditionalDistribution(g, row / weight, float(x1))
+    return ConditionalDistribution(g, row / weight, float(g.x[i]))
 
 
 def marginal_arm2(J: JointDistribution) -> ConditionalDistribution:
@@ -379,9 +374,9 @@ def forward_arm1_chain(arm1) -> list:
 def joint_for_setup(setup: ImagingSetup) -> JointDistribution:
     """Joint density for an imaging setup via the forward route.
 
-    ``joint_distribution(evolve_joint(...), detector1)`` bit for bit, but
-    the pair amplitude goes from the evolution to the product as the
-    columns :func:`_live_columns` chooses: no n x n zero-filled table.
+    The dense definition bit for bit (see the module docstring), but the
+    pair amplitude goes from the evolution to the product as the columns
+    :func:`_live_columns` chooses: no n x n zero-filled table.
     """
     psi, live = _live_columns(setup.source, forward_arm1_chain(setup.arm1), setup.arm2)
     return _joint(setup.grid, psi, live, setup.detector1)
@@ -395,8 +390,8 @@ def mutual_information_bits(J: JointDistribution, bins: int = 64) -> float:
     ``sum p log2(p / (p1 p2))``.
     """
     n = J.grid.n
-    if bins < 2 or n % bins != 0:
-        raise ValueError(f"bins must divide n={n}")
+    if not isinstance(bins, numbers.Integral) or bins < 2 or n % bins != 0:
+        raise ValueError(f"bins must be an integer that divides n={n}; got {bins!r}")
     m = n // bins
     # the table's reshape(bins, m, bins, m).sum(axis=(1, 3)) bit for bit:
     # each row's pairwise sum over a bin's m columns, then the bin's rows

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from biphoton import BiphotonField, Field, make_grid
+from biphoton.elements import _detector_rows
 
 
 @pytest.fixture
@@ -12,6 +13,16 @@ def rng():
 def random_field(grid, rng):
     v = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     return Field(grid, v)
+
+
+def dense_joint(g, table, det):
+    """The joint density by its definition: one product of the whole
+    detector bank and the n x n pair amplitude ``table``, squared and
+    normalized by the whole table's sum."""
+    A = g.dx * (np.conj(_detector_rows(det, g, g.x)) @ table)
+    dens = np.abs(A) ** 2
+    dens /= float(dens.sum()) * g.dx**2
+    return dens
 
 
 def rank2_source(grid):

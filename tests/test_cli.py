@@ -78,6 +78,17 @@ class TestParseConfig:
         cfg = parse_config("detector.x1 = -1.0, 0.0, 1.0\n")
         assert cfg.detector_x1 == (-1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("positions", ["0.5,,0.6", "0.5,", ",0.5"])
+    def test_empty_position_is_exit_1(self, tmp_path, capsys, positions):
+        # no position may drop out of a sweep unseen
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"grid.n = 256\ndetector.x1 = {positions}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"line 2: detector.x1: empty position in {positions!r}" in err
+        assert not out.exists()
+
     def test_round_trip_is_lossless(self):
         # every scenario, with the window left to its scenario default
         # (fourier-2f resolves it from grid.n)

@@ -15,7 +15,7 @@ from biphoton import (
     JointDistribution,
     convolve,
     evolve_joint,
-    joint_distribution,
+    joint_for_setup,
     sweep_conditioning,
     dft,
     edge_energy_fraction,
@@ -264,13 +264,17 @@ def test_value_holds_a_checked_read_only_copy(kind, small_grid):
 
 
 def test_package_made_arrays_are_read_only():
-    setup = build_setup(parse_config("grid.n = 256\ndetector.sigma = 0.2\n"))
+    setup = build_setup(
+        parse_config("grid.n = 256\ndetector.sigma = 0.2\nmask.kind = double-slit\n")
+    )
     Psi = evolve_joint(setup.source, forward_arm1_chain(setup.arm1), setup.arm2)
-    J = joint_distribution(Psi, setup.detector1)
+    J = joint_for_setup(setup)
+    assert len(J.live) < setup.grid.n  # the live-column route
     rows = sweep_conditioning(setup, [-0.5, 0.0, 0.5])
-    arrays = [Psi.values, J.density]
+    stacks = []
     for r in rows:
         stages = (r.alpha, *r.arm1_stages, r.beta1, *r.arm2_stages)
-        arrays += [f.values for f in stages] + [r.distribution.density]
-    arrays += [a.base for a in arrays[2:]]  # the sweep's stacks themselves
+        stacks += [f.values for f in stages] + [r.distribution.density]
+    stacks += [a.base for a in stacks]  # the sweep's stacks themselves
+    arrays = [Psi.values, J.density, J.columns, J.live, *stacks]
     assert all(a is not None and not a.flags.writeable for a in arrays)

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -21,7 +22,6 @@ from biphoton import (
     QuadraticPhase,
     conditional_from_joint,
     evolve_joint,
-    joint_distribution,
     joint_for_setup,
     make_biphoton_delta_correlated,
     make_grid,
@@ -31,9 +31,9 @@ from biphoton import (
     sweep_conditioning,
 )
 from biphoton import cli, predict
-from biphoton.elements import _detector_rows, apply_chain_forward
+from biphoton.elements import apply_chain_forward
 from biphoton.retrodict import DARK_WEIGHT
-from conftest import random_field
+from conftest import dense_joint, random_field
 
 F, KZ = 2.0, 50.0
 
@@ -43,6 +43,11 @@ def random_biphoton(grid, rng):
         (grid.n, grid.n)
     )
     return BiphotonField(grid, v)
+
+
+def bare_joint(Psi, det):
+    """The joint of a bare pair amplitude: its setup with empty arms."""
+    return joint_for_setup(ImagingSetup(Psi.grid, (), (), Psi, det))
 
 
 class TestEvolveJoint:
@@ -89,8 +94,8 @@ class TestEvolveJoint:
         dense = evolve_joint(BiphotonField(g, B.values), arm1, ())
         assert np.array_equal(pump.values, dense.values)
         det = DETECTORS["gaussian"]
-        J = joint_distribution(pump, det).density.tobytes()
-        assert J == joint_distribution(dense, det).density.tobytes()
+        J = bare_joint(pump, det).density.tobytes()
+        assert J == bare_joint(dense, det).density.tobytes()
 
     def test_separable_amplitude_factorizes(self, small_grid, rng):
         u = random_field(small_grid, rng)
@@ -124,7 +129,7 @@ class TestJointDistribution:
         u = random_field(small_grid, rng)
         v = random_field(small_grid, rng)
         B = BiphotonField(small_grid, np.outer(u.values, v.values))
-        J = joint_distribution(B, DetectorProfile("point"))
+        J = bare_joint(B, DetectorProfile("point"))
         pu = np.abs(u.values) ** 2 / (np.sum(np.abs(u.values) ** 2) * small_grid.dx)
         pv = np.abs(v.values) ** 2 / (np.sum(np.abs(v.values) ** 2) * small_grid.dx)
         ref = np.outer(pu, pv)
@@ -132,14 +137,14 @@ class TestJointDistribution:
 
     def test_delta_correlated_source_concentrates_on_diagonal(self, grid16):
         B = make_biphoton_delta_correlated(grid16, kappa=1.0)
-        J = joint_distribution(B, DetectorProfile("point"))
+        J = bare_joint(B, DetectorProfile("point"))
         off = J.density[~np.eye(grid16.n, dtype=bool)]
         assert np.all(off == 0)
         assert abs(J.density.sum() * grid16.dx**2 - 1.0) <= 1e-10
 
     def test_normalization_is_exact(self, small_grid, rng):
         B = random_biphoton(small_grid, rng)
-        J = joint_distribution(B, DetectorProfile("gaussian", sigma=0.6))
+        J = bare_joint(B, DetectorProfile("gaussian", sigma=0.6))
         assert abs(J.density.sum() * small_grid.dx**2 - 1.0) <= 1e-10
 
 
@@ -212,13 +217,11 @@ class TestBlockedMatmul:
         else:
             Psi = make_biphoton_delta_correlated(g, kappa=0.5)
         det = DETECTORS[detector]
-        A = g.dx * (np.conj(_detector_rows(det, g, g.x)) @ Psi.values)
-        dens = np.abs(A) ** 2
-        dens /= float(dens.sum()) * g.dx**2
+        dens = dense_joint(g, Psi.values, det)
         _affinity(monkeypatch, cpus)
         monkeypatch.setattr(predict, "_MIN_BLOCK_ROWS", 2)
         centres, pools = _spy_on_blocks(monkeypatch)
-        J = joint_distribution(Psi, det)
+        J = bare_joint(Psi, det)
         assert J.density.tobytes() == dens.tobytes()
         _assert_blocks_tile(centres, g)
         assert pools == ([] if cpus == 1 else [min(cpus, g.n // 2)])
@@ -236,11 +239,16 @@ class TestBlockedMatmul:
         # fixed blocks of 256 rows, on one thread per CPU and at most one
         # per block; one thread runs inline, with no pool
         g = make_grid(n, n / 32)
-        B = make_biphoton_delta_correlated(g, kappa=0.5)
-        Psi = evolve_joint(B, (_open_mask(g, (n // 2, n // 2 + 9)),), ())
+        setup = ImagingSetup(
+            grid=g,
+            arm1=(_open_mask(g, (n // 2, n // 2 + 9)),),
+            arm2=(),
+            source=make_biphoton_delta_correlated(g, kappa=0.5),
+            detector1=DetectorProfile("gaussian", sigma=0.1),
+        )
         _affinity(monkeypatch, cpus)
         centres, pools = _spy_on_blocks(monkeypatch)
-        joint_distribution(Psi, DetectorProfile("gaussian", sigma=0.1))
+        joint_for_setup(setup)
         assert [len(c) for c in centres] == sizes
         _assert_blocks_tile(centres, g)
         workers = min(cpus, len(sizes))
@@ -298,7 +306,9 @@ class TestBandedProduct:
     def test_bits_equal_the_dense_product(self, monkeypatch, shape, mask, n):
         # each block multiplies only its detector band, aligned to
         # _BAND_ALIGN columns; the zeros it leaves out change no bit of
-        # the one-call dense product, on one CPU or two
+        # the one-call dense product, on one CPU or two.  The double slit
+        # takes the live-column route at n = 2048, the widest setup whose
+        # dense product the tests pay for; with no mask every column enters
         setup = cli.build_setup(
             cli.parse_config(
                 f"grid.n = {n}\ngrid.extent = {n / 32!r}\nkappa = 8\n"
@@ -308,16 +318,13 @@ class TestBandedProduct:
         )
         g, det = setup.grid, setup.detector1
         Psi = evolve_joint(setup.source, predict.forward_arm1_chain(setup.arm1), setup.arm2)
-        A = g.dx * (np.conj(_detector_rows(det, g, g.x)) @ Psi.values)
-        dens = np.abs(A) ** 2
-        dens /= float(dens.sum()) * g.dx**2
-        dens = dens.tobytes()
+        dens = dense_joint(g, Psi.values, det).tobytes()
 
         products = _spy_on_products(monkeypatch)
         for cpus in (1, 2):
             _affinity(monkeypatch, cpus)
             products.clear()
-            assert joint_distribution(Psi, det).density.tobytes() == dens
+            assert joint_for_setup(setup).density.tobytes() == dens
             # a silent fall-back to the full width would pass the bits
             k = [a[1] for a, _ in products]
             assert len(k) == g.n // predict._MIN_BLOCK_ROWS
@@ -362,18 +369,19 @@ class TestMemory:
         assert _peak_of_joint(_benchmark_setup(1024, mask))[1] <= bound
 
     def test_peak_of_the_joint_alone(self, monkeypatch):
-        # joint_distribution on the no-mask oracle-verify scenario at
-        # n = 1024 on two CPUs: the density plus a bank block per thread,
-        # 1.63 x 16n^2.  The product reads Psi's rows in place; a copy of
-        # Psi would add 1.0
+        # the product and its normalization on the no-mask oracle-verify
+        # scenario at n = 1024 on two CPUs, where every column is live: the
+        # density plus a bank block per thread, 1.63 x 16n^2.  The product
+        # reads psi's rows in place; a copy of psi would add 1.0
         n = 1024
         setup = _benchmark_setup(n, "none")
         arm1 = predict.forward_arm1_chain(setup.arm1)
-        Psi = evolve_joint(setup.source, arm1, setup.arm2)
+        psi, live = predict._live_columns(setup.source, arm1, setup.arm2)
+        assert len(live) == n
         _affinity(monkeypatch, 2)
         tracemalloc.start()
         try:
-            joint_distribution(Psi, setup.detector1)
+            predict._joint(setup.grid, psi, live, setup.detector1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -501,15 +509,15 @@ def _scenario_setup(scenario, mask, shape, n):
     return cli.build_setup(replace(cfg, detector_sigma=3 * dx, detector_width=4 * dx))
 
 
-# the scenario x mask x shape grid at n = 256 and 512, and the benchmark's
-# double slit at n = 2048
+# the scenario x mask x shape grid at n = 256 and 512; TestBandedProduct
+# holds the benchmark's double slit at n = 2048
 LIVE_GRID = [
     (scenario, mask, shape, n)
     for n in (256, 512)
     for scenario in ("fig3-direct", "custom", "fourier-2f")
     for mask in ("none", "slit", "double-slit")
     for shape in sorted(DETECTORS)
-] + [("fig3-direct", "double-slit", shape, 2048) for shape in sorted(DETECTORS)]
+]
 
 
 def _coded_setup(open_at, arm2):
@@ -533,12 +541,12 @@ def _coded_setup(open_at, arm2):
 
 class TestLiveColumns:
     """joint_for_setup hands the evolution's live columns straight to the
-    product; joint_distribution(evolve_joint(...)) multiplies every column
-    of the n x n table they are scattered into.  The bytes are the same."""
+    product, and gives the bytes of the dense product over the n x n table
+    evolve_joint scatters them into."""
 
     def _assert_same_bytes(self, setup, monkeypatch):
         Psi = evolve_joint(setup.source, predict.forward_arm1_chain(setup.arm1), setup.arm2)
-        ref = joint_distribution(Psi, setup.detector1).density.tobytes()
+        ref = dense_joint(setup.grid, Psi.values, setup.detector1).tobytes()
         for cpus in (1, 2):
             _affinity(monkeypatch, cpus)
             assert joint_for_setup(setup).density.tobytes() == ref
@@ -645,19 +653,11 @@ class TestZeroSkip:
             [apply_chain_forward(arm1, Field(g, c)).values for c in B.values.T], axis=1
         )
         psi = np.stack([apply_chain_forward(arm2, Field(g, r)).values for r in cols])
-        A = g.dx * (np.conj(_detector_rows(det, g, g.x)) @ psi)
-        dens = np.abs(A) ** 2
-        dens /= float(dens.sum()) * g.dx**2
-        dens = dens.tobytes()
+        dens = dense_joint(g, psi, det).tobytes()
 
         _affinity(monkeypatch, cpus)
         monkeypatch.setattr(predict, "_MIN_BLOCK_ROWS", 2)
         products = _spy_on_products(monkeypatch)
-        # the two-step path is the all-column definition
-        assert joint_distribution(evolve_joint(B, arm1, arm2), det).density.tobytes() == dens
-        assert products and all(b == (a[1], g.n) for a, b in products)
-
-        products.clear()
         ops = _spy_on_ops(monkeypatch)
         J = predict._joint(g, *predict._live_columns(B, arm1, arm2), det)
         assert J.density.tobytes() == dens
@@ -694,7 +694,7 @@ class TestZeroSkip:
             predict._joint(g, *predict._live_columns(B, arm1, ()), det)
         assert ops == [(0, g.n)]
         with pytest.raises(DarkConditionalError):
-            joint_distribution(evolve_joint(B, arm1, ()), det)
+            bare_joint(evolve_joint(B, arm1, ()), det)
 
 
 class TestConditionalAndMarginal:
@@ -702,7 +702,7 @@ class TestConditionalAndMarginal:
         u = random_field(small_grid, rng)
         v = random_field(small_grid, rng)
         B = BiphotonField(small_grid, np.outer(u.values, v.values))
-        J = joint_distribution(B, DetectorProfile("point"))
+        J = bare_joint(B, DetectorProfile("point"))
         m = marginal_arm2(J)
         for x1 in (-2.0, 0.0, 1.5):
             c = conditional_from_joint(J, x1)
@@ -710,13 +710,13 @@ class TestConditionalAndMarginal:
 
     def test_conditional_normalized(self, small_grid, rng):
         B = random_biphoton(small_grid, rng)
-        J = joint_distribution(B, DetectorProfile("point"))
+        J = bare_joint(B, DetectorProfile("point"))
         c = conditional_from_joint(J, 0.5)
         assert abs(c.density.sum() * small_grid.dx - 1.0) <= 1e-12
 
     def test_bayes_reassembly(self, small_grid, rng):
         B = random_biphoton(small_grid, rng)
-        J = joint_distribution(B, DetectorProfile("point"))
+        J = bare_joint(B, DetectorProfile("point"))
         g = small_grid
         p1 = J.density.sum(axis=1) * g.dx
         rebuilt = np.stack(
@@ -727,13 +727,20 @@ class TestConditionalAndMarginal:
     def test_dark_row_raises(self, small_grid):
         diag = np.zeros((small_grid.n, small_grid.n), dtype=complex)
         diag[small_grid.n // 2, small_grid.n // 2] = 1.0
-        J = joint_distribution(BiphotonField(small_grid, diag), DetectorProfile("point"))
+        J = bare_joint(BiphotonField(small_grid, diag), DetectorProfile("point"))
         with pytest.raises(DarkConditionalError):
             conditional_from_joint(J, small_grid.x[3])
 
+    def test_off_grid_position_reports_its_row(self, grid16, rng):
+        # at dx = 0.0625, x1 = 0.03 is nearest the row x = 0
+        J = bare_joint(random_biphoton(grid16, rng), DetectorProfile("point"))
+        c = conditional_from_joint(J, 0.03)
+        assert c.conditioning_position == 0.0 == grid16.x[grid16.index_of(0.03)]
+        assert c.density.tobytes() == conditional_from_joint(J, 0.0).density.tobytes()
+
     def test_marginal_normalized(self, small_grid, rng):
         B = random_biphoton(small_grid, rng)
-        J = joint_distribution(B, DetectorProfile("point"))
+        J = bare_joint(B, DetectorProfile("point"))
         m = marginal_arm2(J)
         assert abs(m.density.sum() * small_grid.dx - 1.0) <= 1e-12
 
@@ -743,7 +750,7 @@ class TestSymmetryAndEquivalence:
         B = make_biphoton_delta_correlated(grid16, kappa=0.5)
         arm = (Propagate(1.0, KZ),)
         Psi = evolve_joint(B, arm, arm)
-        J = joint_distribution(Psi, DetectorProfile("point"))
+        J = bare_joint(Psi, DetectorProfile("point"))
         assert np.max(np.abs(J.density - J.density.T)) <= 1e-10 * np.max(J.density)
 
     def test_equivalence_against_retrodictive_pipeline(self):
@@ -784,16 +791,17 @@ class TestMutualInformation:
         u = np.abs(random_field(small_grid, rng).values) ** 2 + 0.1
         v = np.abs(random_field(small_grid, rng).values) ** 2 + 0.1
         B = BiphotonField(small_grid, np.sqrt(np.outer(u, v)).astype(complex))
-        J = joint_distribution(B, DetectorProfile("point"))
+        J = bare_joint(B, DetectorProfile("point"))
         assert mutual_information_bits(J, bins=16) <= 1e-12
 
     def test_diagonal_joint_carries_large_information(self, small_grid):
         B = make_biphoton_delta_correlated(small_grid, kappa=0.5)
-        J = joint_distribution(B, DetectorProfile("point"))
+        J = bare_joint(B, DetectorProfile("point"))
         assert mutual_information_bits(J, bins=16) >= 2.0
 
     def test_bins_must_divide(self, small_grid):
         B = make_biphoton_delta_correlated(small_grid, kappa=0.5)
-        J = joint_distribution(B, DetectorProfile("point"))
-        with pytest.raises(ValueError):
-            mutual_information_bits(J, bins=13)
+        J = bare_joint(B, DetectorProfile("point"))
+        for bins in (13, 1, 4.0, np.float64(4.0), "4"):
+            with pytest.raises(ValueError, match=f"^bins .*; got {re.escape(repr(bins))}$"):
+                mutual_information_bits(J, bins=bins)
