@@ -509,15 +509,15 @@ def _scenario_setup(scenario, mask, shape, n):
     return cli.build_setup(replace(cfg, detector_sigma=3 * dx, detector_width=4 * dx))
 
 
-# the scenario x mask x shape grid at n = 256 and 512; TestBandedProduct
-# holds the benchmark's double slit at n = 2048
+# the scenario x mask x shape grid at n = 256 and 512, and the double
+# slit at n = 2048
 LIVE_GRID = [
     (scenario, mask, shape, n)
     for n in (256, 512)
     for scenario in ("fig3-direct", "custom", "fourier-2f")
     for mask in ("none", "slit", "double-slit")
     for shape in sorted(DETECTORS)
-]
+] + [("fig3-direct", "double-slit", shape, 2048) for shape in sorted(DETECTORS)]
 
 
 def _coded_setup(open_at, arm2):
